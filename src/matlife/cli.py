@@ -79,9 +79,6 @@ def _add_common(sub):
                      help="random seed (default 0)")
     sub.add_argument("--config", default=None,
                      help="JSON file with default option values")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker count; accepted for interface stability, "
-                          "computation is single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,9 +193,6 @@ def _resolver(args):
 
 
 def _prepare(resolve) -> tuple[pathlib.Path, np.random.Generator]:
-    threads = int(resolve("threads", 1))
-    if threads < 1:
-        raise InvalidInputError("threads must be at least 1")
     out_dir = pathlib.Path(resolve("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(int(resolve("seed", 0)))

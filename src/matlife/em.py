@@ -19,7 +19,7 @@ from .exceptions import (
     DegenerateObservationError,
     InvalidInputError,
 )
-from .linalg import mexp
+from .linalg import expm_and_conv
 from .phasetype import PHRepresentation, ph_products
 
 __all__ = [
@@ -180,17 +180,6 @@ def init_structure(spec: StructureSpec, rng=None) -> PHRepresentation:
     return PHRepresentation(pi, t)
 
 
-def _vanloan_blocks(t: np.ndarray, b: np.ndarray, z: np.ndarray):
-    """``expm(Tz)`` and the convolution block for every ``z``, in one pass."""
-    p = t.shape[0]
-    big = np.zeros((2 * p, 2 * p))
-    big[:p, :p] = t
-    big[:p, p:] = b
-    big[p:, p:] = t
-    full = mexp(big[None, :, :] * z[:, None, None])
-    return full[:, :p, :p], full[:, :p, p:]
-
-
 def e_step(rep: PHRepresentation, data) -> SufficientStats:
     """Conditional expectations of the complete-data statistics.
 
@@ -216,7 +205,7 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
             continue
         z = agg.z[mask]
         w = agg.weight[mask]
-        ez, conv = _vanloan_blocks(t, np.outer(vec, pi), z)
+        ez, conv = expm_and_conv(t, np.outer(vec, pi), z)
         front = pi @ ez                      # (m, p): pi expm(Tz)
         denom = front @ vec                  # (m,)
         if np.any(denom <= 0):

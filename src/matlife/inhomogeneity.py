@@ -23,16 +23,22 @@ __all__ = [
 ]
 
 
+def _positive_param(value, name: str):
+    """``value`` as a float, or a float array for one parameter per point."""
+    value = np.asarray(value, dtype=float)[()]
+    if not np.all(np.isfinite(value)) or np.any(value <= 0):
+        raise InvalidInputError(f"{name} must be positive and finite")
+    return value
+
+
 class GompertzTransform:
-    """Exponentially increasing intensity ``exp(beta * s)``."""
+    """Exponentially increasing intensity ``exp(beta * s)``; ``beta`` may be
+    an array broadcasting against the evaluation points."""
 
     family = "gompertz"
 
-    def __init__(self, beta: float):
-        beta = float(beta)
-        if not np.isfinite(beta) or beta <= 0:
-            raise InvalidInputError("beta must be positive and finite")
-        self.beta = beta
+    def __init__(self, beta):
+        self.beta = _positive_param(beta, "beta")
 
     @property
     def params(self) -> dict:
@@ -53,19 +59,17 @@ class GompertzTransform:
         return np.log1p(self.beta * np.asarray(z, dtype=float)) / self.beta
 
     def __repr__(self):
-        return f"GompertzTransform(beta={self.beta!r})"
+        return f"GompertzTransform(beta={self.beta})"
 
 
 class WeibullTransform:
-    """Power intensity ``theta * s**(theta - 1)``."""
+    """Power intensity ``theta * s**(theta - 1)``; ``theta`` may be an array
+    broadcasting against the evaluation points."""
 
     family = "weibull"
 
-    def __init__(self, theta: float):
-        theta = float(theta)
-        if not np.isfinite(theta) or theta <= 0:
-            raise InvalidInputError("theta must be positive and finite")
-        self.theta = theta
+    def __init__(self, theta):
+        self.theta = _positive_param(theta, "theta")
 
     @property
     def params(self) -> dict:
@@ -87,7 +91,7 @@ class WeibullTransform:
         return np.asarray(z, dtype=float) ** (1.0 / self.theta)
 
     def __repr__(self):
-        return f"WeibullTransform(theta={self.theta!r})"
+        return f"WeibullTransform(theta={self.theta})"
 
 
 class IdentityTransform:
@@ -182,12 +186,14 @@ class ScaledTransform:
         return f"ScaledTransform({self.base!r}, factor={self.factor!r})"
 
 
-#: families usable in regression, keyed by name; each takes one scalar
+#: families usable in regression, keyed by name; each takes one positive
+#: parameter, a scalar or an array with one value per point
 SCALAR_FAMILIES = {"gompertz": GompertzTransform, "weibull": WeibullTransform}
 
 
-def make_transform(family: str, param: float | None = None):
-    """Build a transform from a family name and its scalar parameter."""
+def make_transform(family: str, param=None):
+    """Build a transform from a family name and its parameter (a scalar, or an
+    array with one value per point)."""
     if family == "identity":
         if param is not None:
             raise InvalidInputError("identity transform takes no parameter")

@@ -1,9 +1,10 @@
 """Matrix kernels used by the distribution and estimation code.
 
-Three operations cover everything the rest of the package needs: the matrix
-exponential, the convolution integral that drives the E-step, and analytic
-functions of a matrix (inverse, fractional powers, the exponential integral,
-and Laplace transforms of the supported time transforms).
+Two operations cover everything the rest of the package needs: the matrix
+exponential, alone or of the Van Loan block that yields ``expm(Tz)`` and the
+E-step's convolution integral in one pass, and analytic functions of a matrix
+(inverse, fractional powers, the exponential integral, and Laplace transforms
+of the supported time transforms).
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ from scipy.special import exp1, gamma as _gamma
 
 from .exceptions import DomainError, InvalidInputError
 
-__all__ = ["mexp", "conv_integral", "conv_integrals", "matrix_function"]
+__all__ = ["mexp", "expm_and_conv", "matrix_function"]
 
 #: eigenvector condition number beyond which the spectral route is distrusted
 EIG_COND_LIMIT = 1e8
+
+#: eigenvector condition number from which ``pi expm(Tz) v`` leaves the
+#: spectral route (see ``phasetype.ph_products`` for the measured accuracy)
+PRODUCTS_COND_LIMIT = 1e6
 
 #: nodes for the fallback contour quadrature
 CONTOUR_NODES = 512
@@ -44,18 +49,13 @@ def mexp(a: np.ndarray) -> np.ndarray:
     return _scipy_expm(a)
 
 
-def conv_integral(t: np.ndarray, b: np.ndarray, z: float) -> np.ndarray:
-    """Integral of ``expm(t*(z-u)) @ b @ expm(t*u)`` for u in ``[0, z]``.
+def expm_and_conv(t: np.ndarray, b: np.ndarray, z: np.ndarray):
+    """``expm(t*z)`` and the integral of ``expm(t*(z-u)) @ b @ expm(t*u)`` for
+    u in ``[0, z]``, stacked over the upper limits ``z``.
 
-    Evaluated exactly (up to the accuracy of one matrix exponential) as the
-    upper-right block of ``expm([[t, b], [0, t]] * z)``.
+    Both are blocks of one exponential ``expm([[t, b], [0, t]] * z)`` (Van
+    Loan 1978): the upper-left and the upper-right.
     """
-    out = conv_integrals(t, b, np.asarray([z], dtype=float))
-    return out[0]
-
-
-def conv_integrals(t: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Stacked :func:`conv_integral` over a vector of upper limits ``z``."""
     t = _check_square(t, "t")
     b = _check_square(b, "b")
     if t.shape != b.shape:
@@ -67,13 +67,13 @@ def conv_integrals(t: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise InvalidInputError("upper limits must be finite and nonnegative")
     p = t.shape[0]
     if z.size == 0:
-        return np.zeros((0, p, p))
+        return np.zeros((0, p, p)), np.zeros((0, p, p))
     block = np.zeros((2 * p, 2 * p))
     block[:p, :p] = t
     block[:p, p:] = b
     block[p:, p:] = t
-    stacked = block[None, :, :] * z[:, None, None]
-    return mexp(stacked)[:, :p, p:]
+    full = mexp(block[None, :, :] * z[:, None, None])
+    return full[:, :p, :p], full[:, :p, p:]
 
 
 def _laplace_of_transform(family: str, param: float | None) -> Callable:

@@ -42,6 +42,12 @@ AGE_SCALE = 100.0
 #: hazard floor applied before taking logs inside the direct-fit loss
 HAZARD_FLOOR = 1e-300
 
+#: direct-fit Nelder-Mead: offset of each initial simplex vertex on the log
+#: scale, and the point and loss tolerances of one round
+SIMPLEX_STEP = 0.1
+NM_XATOL = 1e-8
+NM_FATOL = 1e-10
+
 
 @dataclass(frozen=True)
 class LifeTable:
@@ -347,9 +353,6 @@ def model_log_mortality(model, ages, x_row=None, age_scale: str = "years"):
 class DirectFitConfig:
     max_evals: int = 2000    # per optimizer round
     restarts: int = 2        # extra rounds with a refreshed simplex
-    simplex_step: float = 0.1
-    xatol: float = 1e-8
-    fatol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -524,13 +527,12 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
 
     for _ in range(config.restarts + 1):
         x_start = best["x"]
-        simplex = np.vstack([x_start,
-                             x_start + config.simplex_step * np.eye(x_start.size)])
+        simplex = np.vstack([x_start, x_start + SIMPLEX_STEP * np.eye(x_start.size)])
         previous = best["f"]
         minimize(objective, x_start, method="Nelder-Mead",
                  options={"maxfev": config.max_evals, "initial_simplex": simplex,
-                          "xatol": config.xatol, "fatol": config.fatol})
-        if previous - best["f"] <= config.fatol * max(1.0, abs(previous)):
+                          "xatol": NM_XATOL, "fatol": NM_FATOL})
+        if previous - best["f"] <= NM_FATOL * max(1.0, abs(previous)):
             break
 
     fitted = _unpack(best["x"], init, pattern)

@@ -32,13 +32,7 @@ from .exceptions import (
     ScoreOverflowError,
 )
 from .inhomogeneity import ScaledTransform, make_transform
-from .phasetype import (
-    Evaluation,
-    IPHModel,
-    PHRepresentation,
-    make_products_evaluator,
-    ph_products,
-)
+from .phasetype import Evaluation, IPHModel, PHRepresentation, ph_products
 
 __all__ = [
     "RegObservation",
@@ -226,23 +220,6 @@ class PIModel:
         return self.conditional_model(x_row).evaluate(y)
 
 
-def _cumulative_by_family(family: str, theta: np.ndarray | None, y: np.ndarray):
-    if family == "identity":
-        return y
-    if family == "gompertz":
-        return np.expm1(theta * y) / theta
-    return y ** theta  # weibull
-
-
-def _log_intensity_by_family(family: str, theta, y):
-    if family == "identity":
-        return np.zeros_like(y)
-    if family == "gompertz":
-        return theta * y
-    with np.errstate(divide="ignore"):
-        return np.log(theta) + (theta - 1.0) * np.log(y)
-
-
 def transform(model: PIModel, y, x) -> np.ndarray:
     """Map lifetimes to the shared operational scale.
 
@@ -253,7 +230,7 @@ def transform(model: PIModel, y, x) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     factor = model.rate_factor(x)
     theta = model.shape_param(x)
-    return factor * _cumulative_by_family(model.family, theta, y)
+    return factor * make_transform(model.family, theta).cumulative(y)
 
 
 def pi_loglik(model: PIModel, data) -> float:
@@ -270,7 +247,8 @@ def pi_loglik(model: PIModel, data) -> float:
         return ph_part
     factor = model.rate_factor(sample.x[obs])
     theta = model.shape_param(sample.x[obs])
-    jac = np.log(factor) + _log_intensity_by_family(model.family, theta, sample.y[obs])
+    clock = make_transform(model.family, theta)
+    jac = np.log(factor) + clock.log_intensity(sample.y[obs])
     return ph_part + float(np.sum(sample.weight[obs] * jac))
 
 
@@ -288,10 +266,9 @@ def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample
                     gamma_len: int):
     """Negative pi-loglik as a function of packed coefficients.
 
-    Uses the spectral product evaluator; non-finite or overflowing parameter
-    points score ``+inf`` so the simplex backs away from them.
+    Non-finite or overflowing parameter points score ``+inf`` so the simplex
+    backs away from them.
     """
-    products = make_products_evaluator(rep)
     d = sample.d
     obs = sample.delta == 1
     w, wo = sample.weight, sample.weight[obs]
@@ -313,15 +290,15 @@ def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample
             theta = np.exp(shape_score)
         else:
             theta = None
-        z = factor * _cumulative_by_family(family, theta, sample.y)
+        z = factor * make_transform(family, theta).cumulative(sample.y)
         if not np.all(np.isfinite(z)):
             return np.inf
-        dens, surv = products(z)
+        dens, surv = ph_products(rep, z)
         do, sc = dens[obs], surv[~obs]
         if np.any(do <= 0) or np.any(sc <= 0):
             return np.inf
         theta_o = theta[obs] if theta is not None else None
-        jac = np.log(factor[obs]) + _log_intensity_by_family(family, theta_o, yo)
+        jac = np.log(factor[obs]) + make_transform(family, theta_o).log_intensity(yo)
         val = np.sum(wo * (np.log(do) + jac)) + np.sum(w[~obs] * np.log(sc))
         return -val if np.isfinite(val) else np.inf
 

@@ -64,10 +64,6 @@ class TestExitCodes:
         cfg.write_text("{broken")
         assert run("fit-ph", p, "--config", cfg) == 2
 
-    def test_threads_must_be_positive(self, tmp_path):
-        p = write_sample_csv(tmp_path / "s.csv")
-        assert run("fit-ph", p, "--threads", 0) == 2
-
     def test_deaths_kind_needs_exposures(self, tmp_path):
         t = write_rates_table(tmp_path / "t.txt", range(50, 55), [2000],
                               lambda a, y: 0.01)

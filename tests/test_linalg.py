@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from matlife.exceptions import DomainError, InvalidInputError
-from matlife.linalg import conv_integral, conv_integrals, matrix_function, mexp
+from matlife.linalg import expm_and_conv, matrix_function, mexp
 
 from helpers import random_sub_intensity, simpson_conv, taylor_expm
 
@@ -43,6 +43,11 @@ class TestMexp:
             mexp(bad)
 
 
+def conv_at(t, b, z):
+    """Convolution block of :func:`expm_and_conv` at one upper limit."""
+    return expm_and_conv(t, b, np.asarray([z], dtype=float))[1][0]
+
+
 class TestConvIntegral:
     def test_matches_simpson_oracle(self):
         rng = np.random.default_rng(7)
@@ -50,7 +55,7 @@ class TestConvIntegral:
         b = rng.uniform(0.0, 1.0, (3, 3))
         for z in (0.3, 1.0, 2.5):
             expected = simpson_conv(t, b, z)
-            assert_allclose(conv_integral(t, b, z), expected, rtol=0, atol=1e-8)
+            assert_allclose(conv_at(t, b, z), expected, rtol=0, atol=1e-8)
 
     def test_commuting_closed_form(self):
         # with b = identity the integrand collapses to expm(t z), so the
@@ -58,24 +63,25 @@ class TestConvIntegral:
         rng = np.random.default_rng(3)
         t = random_sub_intensity(rng, 4)
         z = 1.7
-        assert_allclose(conv_integral(t, np.eye(4), z), z * mexp(t * z), rtol=1e-12)
+        assert_allclose(conv_at(t, np.eye(4), z), z * mexp(t * z), rtol=1e-12)
 
     def test_zero_upper_limit(self):
         t = np.array([[-1.0]])
-        assert_allclose(conv_integral(t, np.eye(1), 0.0), np.zeros((1, 1)), atol=0)
+        assert_allclose(conv_at(t, np.eye(1), 0.0), np.zeros((1, 1)), atol=0)
 
     def test_stacked_matches_scalar_calls(self):
         rng = np.random.default_rng(11)
         t = random_sub_intensity(rng, 2)
         b = rng.uniform(0.0, 1.0, (2, 2))
         zs = np.array([0.1, 0.9, 3.0])
-        stacked = conv_integrals(t, b, zs)
+        ez, conv = expm_and_conv(t, b, zs)
         for i, z in enumerate(zs):
-            assert_allclose(stacked[i], conv_integral(t, b, z), rtol=1e-13)
+            assert_allclose(conv[i], conv_at(t, b, z), rtol=1e-13)
+            assert_allclose(ez[i], mexp(t * z), rtol=1e-13)
 
     def test_negative_limit_rejected(self):
         with pytest.raises(InvalidInputError):
-            conv_integral(np.array([[-1.0]]), np.eye(1), -0.5)
+            conv_at(np.array([[-1.0]]), np.eye(1), -0.5)
 
 
 class TestMatrixFunction:

@@ -18,7 +18,7 @@ from matlife.inhomogeneity import (
     WeibullTransform,
     make_transform,
 )
-from matlife.linalg import mexp
+from matlife.linalg import PRODUCTS_COND_LIMIT, mexp
 from matlife.phasetype import (
     CoxianSpec,
     IPHModel,
@@ -30,7 +30,7 @@ from matlife.phasetype import (
     validate_sub_intensity,
 )
 
-from helpers import random_representation, random_sub_intensity
+from helpers import random_representation, random_sub_intensity, taylor_expm
 
 
 def transforms_under_test():
@@ -87,12 +87,24 @@ class TestTransforms:
         with pytest.raises(InvalidInputError):
             make_transform("cauchy", 1.0)
 
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf,
+                                     [1.0, 0.0], [2.0, np.nan]])
     def test_invalid_parameters(self, bad):
         with pytest.raises(InvalidInputError):
             GompertzTransform(bad)
         with pytest.raises(InvalidInputError):
             WeibullTransform(bad)
+
+    @pytest.mark.parametrize("family", ["gompertz", "weibull"])
+    def test_array_parameter_matches_scalars(self, family):
+        params = np.array([0.7, 1.0, 2.5])
+        y = np.array([0.3, 1.1, 2.0])
+        tr = make_transform(family, params)
+        for k in range(3):
+            one = make_transform(family, params[k])
+            assert isinstance(next(iter(one.params.values())), float)
+            assert tr.cumulative(y)[k] == one.cumulative(y[k])
+            assert tr.log_intensity(y)[k] == one.log_intensity(y[k])
 
 
 class TestValidation:
@@ -386,6 +398,11 @@ class TestCoxian:
         assert_allclose(rep.exit_rates, [1.5, 1.0])
 
 
+#: rate gaps of the near-equal Coxian sweep; cond(V) grows like 1/gap**2 and
+#: crosses PRODUCTS_COND_LIMIT between 10**-2.5 and 10**-3
+NEAR_EQUAL_GAPS = np.logspace(-2, -8, 13)
+
+
 class TestProducts:
     def test_products_match_evaluate(self):
         rng = np.random.default_rng(31)
@@ -395,3 +412,61 @@ class TestProducts:
         model = IPHModel(rep)
         assert_allclose(surv, model.survival(z), rtol=1e-13)
         assert_allclose(dens, model.density(z), rtol=1e-13)
+
+    @staticmethod
+    def assert_matches_taylor(rep, z):
+        dens, surv = ph_products(rep, z)
+        rows = np.array([rep.pi @ taylor_expm(rep.T * zi) for zi in z])
+        assert np.all(dens >= 0) and np.all(surv >= 0)
+        assert_allclose(dens, rows @ rep.exit_rates, rtol=1e-9, atol=0)
+        assert_allclose(surv, rows.sum(axis=1), rtol=1e-9, atol=0)
+
+    @staticmethod
+    def tail_grid(rep, n=25):
+        """From zero to where survival is about exp(-150)."""
+        return np.linspace(0.0, 150.0 / tail_params(rep.T).decay_rate, n)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    @pytest.mark.parametrize("kind", ["general", "coxian"])
+    def test_spectral_branch_matches_taylor(self, p, kind):
+        rep = random_representation(np.random.default_rng(100 + p), p, kind)
+        assert rep._spectrum is not None
+        self.assert_matches_taylor(rep, self.tail_grid(rep))
+
+    @staticmethod
+    def near_equal_coxian(gap):
+        return CoxianSpec(1.0 + gap * np.arange(3), [0.9, 0.9]).to_representation()
+
+    @pytest.mark.parametrize("gap", NEAR_EQUAL_GAPS)
+    def test_near_equal_coxian_rates_across_the_limit(self, gap):
+        rep = self.near_equal_coxian(gap)
+        spectral = np.linalg.cond(np.linalg.eig(rep.T)[1]) < PRODUCTS_COND_LIMIT
+        assert (rep._spectrum is not None) == spectral
+        self.assert_matches_taylor(rep, np.linspace(0.0, 200.0, 41))
+
+    def test_limit_is_crossed_by_the_sweep(self):
+        stacked = {self.near_equal_coxian(gap)._spectrum is None
+                   for gap in NEAR_EQUAL_GAPS}
+        assert stacked == {True, False}
+
+    def test_defective_erlang_takes_stacked_branch(self):
+        t = np.array([[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, -2.0]])
+        rep = PHRepresentation([1.0, 0.0, 0.0], t)
+        assert rep._spectrum is None
+        self.assert_matches_taylor(rep, self.tail_grid(rep))
+
+    def test_spectral_factors_are_cached_and_read_only(self):
+        rep = random_representation(np.random.default_rng(5), 4)
+        ph_products(rep, [1.0])
+        spectrum = rep._spectrum
+        ph_products(rep, [2.0])
+        assert rep._spectrum is spectrum
+        for arr in spectrum:
+            assert not arr.flags.writeable
+
+    def test_input_checks(self):
+        rep = random_representation(np.random.default_rng(6), 2)
+        dens, surv = ph_products(rep, [])
+        assert dens.shape == surv.shape == (0,)
+        with pytest.raises(InvalidInputError):
+            ph_products(rep, [1.0, -0.5])
