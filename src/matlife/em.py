@@ -5,6 +5,13 @@ The E-step computes expected initiation counts, sojourn times, jump counts
 and absorption counts given each observation; the M-step is the closed-form
 reestimation.  The observed-data log-likelihood never decreases along the
 iteration.
+
+The E-step has two routes.  When the eigenvector matrix of ``T`` has
+condition number below :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the
+convolution integrals come in closed form from the cached eigen-factors,
+through divided differences of ``exp(lambda z)``.  Otherwise (near-defective
+``T``, such as a Coxian chain with nearly equal rates) each distinct ``z``
+costs one Van Loan block exponential.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .exceptions import (
     InvalidInputError,
 )
 from .linalg import expm_and_conv
-from .phasetype import PHRepresentation, ph_products
+from .phasetype import PHRepresentation, Spectrum, ph_products
 
 __all__ = [
     "SurvObservation",
@@ -95,7 +102,14 @@ class CensoredSample:
         return float(self.weight.sum())
 
     def aggregate(self) -> "CensoredSample":
-        """Merge tied ``(z, delta)`` rows, summing weights; sorts by ``z``."""
+        """Merge tied ``(z, delta)`` rows, summing weights; sorts by ``z``.
+
+        A sample whose rows already increase strictly in ``(z, delta)`` is
+        returned as is.
+        """
+        dz = np.diff(self.z)
+        if np.all((dz > 0) | ((dz == 0) & (np.diff(self.delta) > 0))):
+            return self
         key = np.stack([self.z, self.delta.astype(float)], axis=1)
         uniq, inverse = np.unique(key, axis=0, return_inverse=True)
         weight = np.zeros(uniq.shape[0])
@@ -186,40 +200,41 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     Tied ``(z, delta)`` values are aggregated with summed weights first; a
     zero-likelihood observation raises pointing at its index in the original
     data.
+
+    Each group (observed rows with ``vec = t``, censored rows with
+    ``vec = 1``) needs ``pi expm(Tz)``, ``expm(Tz) vec`` and the convolution
+    ``int_0^z expm(T(z-u)) vec pi expm(Tu) du`` at every distinct ``z``.
+    When ``rep`` has cached eigen-factors (cond(V) below
+    :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the test
+    :func:`~matlife.phasetype.ph_products` uses) they come in closed form
+    from the spectrum, O(p^3 + n p^2) in all; otherwise from one Van Loan
+    block exponential per point (:func:`~matlife.linalg.expm_and_conv`).
     """
     sample = CensoredSample.coerce(data)
     agg = sample.aggregate()
-    pi, t = rep.pi, rep.T
     p = rep.p
-    exit_rates = rep.exit_rates
-    ones = np.ones(p)
+    spectrum = rep._spectrum
 
     b = np.zeros(p)
     v = np.zeros(p)
     njump = np.zeros((p, p))
     nabs = np.zeros(p)
 
-    for observed, vec in ((True, exit_rates), (False, ones)):
+    for observed, vec in ((True, rep.exit_rates), (False, np.ones(p))):
         mask = agg.delta == 1 if observed else agg.delta == 0
         if not mask.any():
             continue
         z = agg.z[mask]
         w = agg.weight[mask]
-        ez, conv = expm_and_conv(t, np.outer(vec, pi), z)
-        front = pi @ ez                      # (m, p): pi expm(Tz)
-        denom = front @ vec                  # (m,)
-        if np.any(denom <= 0):
-            bad_z = z[np.argmin(denom)]
-            idx = int(np.flatnonzero(sample.z == bad_z)[0])
-            raise DegenerateObservationError(idx)
-        scale = w / denom
-        back = ez @ vec                      # (m, p): expm(Tz) vec
-        b += pi * (scale @ back)
-        diag = np.einsum("mkk->mk", conv)
-        v += scale @ diag
-        njump += t * np.einsum("m,mlk->kl", scale, conv)
+        if spectrum is None:
+            terms = _stacked_terms(rep, vec, z, w, sample)
+        else:
+            terms = _spectral_terms(rep, spectrum, vec, z, w, sample)
+        b += terms.b
+        v += terms.v
+        njump += terms.njump
         if observed:
-            nabs += exit_rates * (scale @ front)
+            nabs += terms.nabs
 
     np.fill_diagonal(njump, 0.0)
     stats = SufficientStats(np.clip(b, 0, None), np.clip(v, 0, None),
@@ -228,6 +243,80 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     if abs(stats.b.sum() - total) > 1e-8 * max(1.0, total):
         raise DegenerateObservationError(-1, "initiation counts fail to add up")
     return stats
+
+
+def _check_denominators(denom: np.ndarray, z: np.ndarray,
+                        sample: CensoredSample) -> None:
+    """Raise at the first row of ``sample`` whose likelihood is zero."""
+    if np.any(denom <= 0):
+        bad_z = z[np.argmin(denom)]
+        idx = int(np.flatnonzero(sample.z == bad_z)[0])
+        raise DegenerateObservationError(idx)
+
+
+def _stacked_terms(rep: PHRepresentation, vec: np.ndarray, z: np.ndarray,
+                   w: np.ndarray, sample: CensoredSample) -> SufficientStats:
+    """One group's E-step terms from stacked Van Loan block exponentials."""
+    pi, t = rep.pi, rep.T
+    ez, conv = expm_and_conv(t, np.outer(vec, pi), z)
+    front = pi @ ez                      # (m, p): pi expm(Tz)
+    denom = front @ vec                  # (m,)
+    _check_denominators(denom, z, sample)
+    scale = w / denom
+    back = ez @ vec                      # (m, p): expm(Tz) vec
+    return SufficientStats(pi * (scale @ back),
+                           scale @ np.einsum("mkk->mk", conv),
+                           t * np.einsum("m,mlk->kl", scale, conv),
+                           rep.exit_rates * (scale @ front))
+
+
+def _spectral_terms(rep: PHRepresentation, spectrum: Spectrum, vec: np.ndarray,
+                    z: np.ndarray, w: np.ndarray,
+                    sample: CensoredSample) -> SufficientStats:
+    """One group's E-step terms in the eigenbasis ``T = V diag(lam) V^-1``.
+
+    With ``r = pi V`` and ``c = V^-1 vec`` the convolution at ``z`` is
+    ``V [(c r^T) * D(z)] V^-1`` for the divided differences
+    ``D_ij(z) = (exp(lam_i z) - exp(lam_j z)) / (lam_i - lam_j)``, and
+    ``z exp(lam_i z)`` where ``lam_i == lam_j``.
+    """
+    lam, vecs, vinv = spectrum.eigvals, spectrum.vecs, spectrum.vecs_inv
+    r = spectrum.start
+    c = vinv @ vec
+    e = np.exp(np.multiply.outer(z, lam))            # (m, p)
+    denom = np.maximum((e @ (r * c)).real, 0.0)      # pi expm(Tz) vec
+    _check_denominators(denom, z, sample)
+    scale = w / denom
+    se = scale @ e
+    conv = (vecs @ (np.outer(c, r) * _divided_differences(lam, z, e, scale))
+            @ vinv).real                              # sum of scale * conv
+    return SufficientStats(rep.pi * (vecs @ (se * c)).real,
+                           np.diagonal(conv),
+                           rep.T * conv.T,
+                           rep.exit_rates * ((se * r) @ vinv).real)
+
+
+def _divided_differences(lam: np.ndarray, z: np.ndarray, e: np.ndarray,
+                         scale: np.ndarray) -> np.ndarray:
+    """``sum_m scale_m D(z_m)`` for the symmetric matrices ``D`` of
+    :func:`_spectral_terms`, given ``e = exp(z lam)``.
+
+    Each pair is written as ``exp(hi z) expm1((lo - hi) z) / (lo - hi)`` with
+    ``hi`` the eigenvalue of larger real part, so no factor overflows and
+    near-equal eigenvalues lose no digits to cancellation.
+    """
+    p = lam.size
+    iu, ju = np.triu_indices(p)
+    hi = np.where(lam[iu].real > lam[ju].real, iu, ju)
+    gap = lam[iu + ju - hi] - lam[hi]
+    same = gap == 0
+    ratio = np.expm1(np.multiply.outer(z, gap)) / np.where(same, 1.0, gap)
+    ratio[:, same] = z[:, None]
+    pairs = scale @ (e[:, hi] * ratio)
+    out = np.empty((p, p), dtype=pairs.dtype)
+    out[iu, ju] = pairs
+    out[ju, iu] = pairs
+    return out
 
 
 def m_step(stats: SufficientStats, total_weight: float, spec: StructureSpec,

@@ -4,7 +4,10 @@ Two operations cover everything the rest of the package needs: the matrix
 exponential, alone or of the Van Loan block that yields ``expm(Tz)`` and the
 E-step's convolution integral in one pass, and analytic functions of a matrix
 (inverse, fractional powers, the exponential integral, and Laplace transforms
-of the supported time transforms).
+of the supported time transforms).  The E-step takes its convolutions in
+closed form from the eigen-factors of ``T`` and uses the Van Loan block
+(:func:`expm_and_conv`) only as its fallback, for representations whose
+eigenvector condition number reaches :data:`PRODUCTS_COND_LIMIT`.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ __all__ = ["mexp", "expm_and_conv", "matrix_function"]
 #: eigenvector condition number beyond which the spectral route is distrusted
 EIG_COND_LIMIT = 1e8
 
-#: eigenvector condition number from which ``pi expm(Tz) v`` leaves the
-#: spectral route (see ``phasetype.ph_products`` for the measured accuracy)
+#: eigenvector condition number from which ``pi expm(Tz) v`` and the E-step
+#: leave the spectral route (see ``phasetype.ph_products`` for the measured
+#: accuracy)
 PRODUCTS_COND_LIMIT = 1e6
 
 #: nodes for the fallback contour quadrature
@@ -54,7 +58,8 @@ def expm_and_conv(t: np.ndarray, b: np.ndarray, z: np.ndarray):
     u in ``[0, z]``, stacked over the upper limits ``z``.
 
     Both are blocks of one exponential ``expm([[t, b], [0, t]] * z)`` (Van
-    Loan 1978): the upper-left and the upper-right.
+    Loan 1978): the upper-left and the upper-right.  The E-step calls this
+    only for representations without trusted eigen-factors.
     """
     t = _check_square(t, "t")
     b = _check_square(b, "b")

