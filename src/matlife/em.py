@@ -303,19 +303,21 @@ def _divided_differences(lam: np.ndarray, z: np.ndarray, e: np.ndarray,
 
     Each pair is written as ``exp(hi z) expm1((lo - hi) z) / (lo - hi)`` with
     ``hi`` the eigenvalue of larger real part, so no factor overflows and
-    near-equal eigenvalues lose no digits to cancellation.
+    near-equal eigenvalues lose no digits to cancellation.  The pairs are
+    summed one at a time: no temporary grows past the size of ``e``, so the
+    cost per call does not depend on how the allocator returns large blocks.
     """
     p = lam.size
-    iu, ju = np.triu_indices(p)
-    hi = np.where(lam[iu].real > lam[ju].real, iu, ju)
-    gap = lam[iu + ju - hi] - lam[hi]
-    same = gap == 0
-    ratio = np.expm1(np.multiply.outer(z, gap)) / np.where(same, 1.0, gap)
-    ratio[:, same] = z[:, None]
-    pairs = scale @ (e[:, hi] * ratio)
-    out = np.empty((p, p), dtype=pairs.dtype)
-    out[iu, ju] = pairs
-    out[ju, iu] = pairs
+    weighted = scale[:, None] * e                    # (m, p)
+    out = np.empty((p, p), dtype=e.dtype)
+    for i in range(p):
+        for j in range(i, p):
+            hi, lo = (i, j) if lam[i].real > lam[j].real else (j, i)
+            gap = lam[lo] - lam[hi]
+            if gap == 0:
+                out[i, j] = out[j, i] = weighted[:, hi] @ z
+            else:
+                out[i, j] = out[j, i] = weighted[:, hi] @ np.expm1(z * gap) / gap
     return out
 
 

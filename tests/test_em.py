@@ -2,6 +2,8 @@
 conditioned-simulation oracles, the closed-form maximization step, and the
 full fitting loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,23 @@ class TestSpectralEStep:
     @pytest.mark.parametrize("gap,spectral", [(1e-2, True), (1e-4, False)])
     def test_route_on_each_side_of_the_limit(self, gap, spectral):
         assert (near_equal_chain(gap)._spectrum is not None) == spectral
+
+    def test_peak_memory_does_not_grow_with_pair_count(self):
+        # the divided differences over all p(p+1)/2 eigenvalue pairs must not
+        # be materialized per row: the peak stays a few (m, p) complex arrays
+        # (about 2.4 of them; summing all pairs at once took about 17.7)
+        rep = random_representation(np.random.default_rng(3), 10, "general")
+        assert np.iscomplexobj(rep._spectrum.eigvals)
+        m = 20000
+        data = CensoredSample(np.linspace(0.01, 20.0, m), np.ones(m, int),
+                              np.ones(m))
+        tracemalloc.start()
+        try:
+            e_step(rep, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m * rep.p * np.dtype(complex).itemsize
 
     def test_zero_denominator_raises_at_original_index(self):
         rep = PHRepresentation([0.5, 0.5], np.diag([-1.0, -2.0]))
