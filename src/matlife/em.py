@@ -110,11 +110,15 @@ class CensoredSample:
         dz = np.diff(self.z)
         if np.all((dz > 0) | ((dz == 0) & (np.diff(self.delta) > 0))):
             return self
-        key = np.stack([self.z, self.delta.astype(float)], axis=1)
-        uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-        weight = np.zeros(uniq.shape[0])
-        np.add.at(weight, inverse, self.weight)
-        return CensoredSample(uniq[:, 0], uniq[:, 1].astype(np.int8), weight)
+        # a stable sort keeps tied rows in input order, so each group's
+        # weights are summed in the order they were given
+        order = np.lexsort((self.delta, self.z))
+        z, delta = self.z[order], self.delta[order]
+        first = np.ones(z.size, dtype=bool)
+        first[1:] = (z[1:] != z[:-1]) | (delta[1:] != delta[:-1])
+        weight = np.zeros(np.count_nonzero(first))
+        np.add.at(weight, np.cumsum(first) - 1, self.weight[order])
+        return CensoredSample(z[first], delta[first], weight)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,20 @@ Models serialize to JSON with full-precision floats, so a save/load cycle
 reproduces every parameter bitwise.  CSV exports use ``%.17g`` for the same
 reason.  Only plain transform families serialize; the shifted and scaled
 wrappers describe derived models and are rebuilt on demand instead.
+
+CSV work is columnar.  :func:`read_survival_csv` parses the header with the
+csv module and the whole body in one ``numpy.loadtxt`` pass; only when that
+fails does a line-by-line scan find the line to report.  Every writer goes
+through one formatter that writes the header with ``csv.writer`` and then
+the rows in fixed-size blocks, one ``%``-format per row over column slices.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import string
 from typing import NamedTuple
 
 import numpy as np
@@ -112,8 +120,37 @@ class SurvivalData(NamedTuple):
     covariate_names: list
 
 
-def _fmt(value) -> str:
-    return "%.17g" % float(value)
+#: rows formatted per write call; bounds the text held in memory at once
+_BLOCK_ROWS = 4096
+
+#: characters a line may consist of and still count as blank
+_BLANK = string.whitespace + ","
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """Numeric cells of ``lines`` as a 2-D float array (csv quoting rules)."""
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                      ndmin=2)
+
+
+def _bad_line(lines, numbers, width) -> TableParseError:
+    """Error for the first of ``lines`` that does not parse to ``width`` numbers.
+
+    Runs only after the one-pass parse failed, so a line-by-line scan is
+    affordable here.
+    """
+    for number, line in zip(numbers, lines):
+        if line.count('"') % 2:
+            # numpy would carry the quoted cell on into the next line
+            return TableParseError(number, "quoted cell runs past the line end")
+        try:
+            got = _parse_rows([line]).shape[1]
+        except ValueError as err:
+            # numpy counts rows within the single line it was given
+            return TableParseError(number, str(err).split(" at row ")[0])
+        if got != width:
+            return TableParseError(number, f"expected {width} fields, got {got}")
+    return TableParseError(numbers[0], "rows do not parse as numbers")
 
 
 def read_survival_csv(source) -> SurvivalData:
@@ -121,20 +158,32 @@ def read_survival_csv(source) -> SurvivalData:
 
     ``time`` and ``status`` are required, ``weight`` is optional, and every
     remaining column is a covariate (kept in file order).  Header matching is
-    case-insensitive.
+    case-insensitive.  Lines holding only whitespace and commas are skipped.
+    The header follows the csv quoting rules; the body is parsed in one
+    numpy pass, so every cell must be a number numpy reads (digit
+    underscores are refused) and every status exactly 0 or 1.
+    :class:`TableParseError` carries the physical line number of the first
+    offending line.
     """
     if hasattr(source, "read"):
-        rows = list(csv.reader(source))
+        text = source.read()
     else:
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+            text = fh.read()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [line for line in lines if line.strip(_BLANK)]
     if not rows:
         raise TableParseError(1, "empty file")
-    header = [cell.strip() for cell in rows[0]]
+
+    def numbers():
+        """Physical line numbers of ``rows``."""
+        return [i for i, line in enumerate(lines, start=1) if line.strip(_BLANK)]
+
+    header = [cell.strip() for cell in next(csv.reader(rows[:1]))]
     lowered = [cell.lower() for cell in header]
     if "time" not in lowered or "status" not in lowered:
-        raise TableParseError(1, "header must name time and status columns")
+        raise TableParseError(numbers()[0],
+                              "header must name time and status columns")
     pos_time = lowered.index("time")
     pos_status = lowered.index("status")
     pos_weight = lowered.index("weight") if "weight" in lowered else None
@@ -144,24 +193,50 @@ def read_survival_csv(source) -> SurvivalData:
     cov_pos = [i for i in range(len(header)) if i not in special]
     names = [header[i] for i in cov_pos]
 
-    y, delta, weight, x = [], [], [], []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise TableParseError(line_no,
-                                  f"expected {len(header)} fields, got {len(row)}")
-        try:
-            y.append(float(row[pos_time]))
-            delta.append(int(float(row[pos_status])))
-            weight.append(1.0 if pos_weight is None else float(row[pos_weight]))
-            x.append([float(row[i]) for i in cov_pos])
-        except ValueError as err:
-            raise TableParseError(line_no, str(err)) from None
-    if not y:
-        raise TableParseError(len(rows), "no data rows")
-    sample = RegressionSample(np.asarray(y), np.asarray(delta),
-                              np.asarray(x, dtype=float).reshape(len(y), -1),
-                              np.asarray(weight))
+    body = rows[1:]
+    if not body:
+        raise TableParseError(numbers()[0], "no data rows")
+    try:
+        table = _parse_rows(body)
+    except ValueError:
+        table = None
+    if table is None or table.shape != (len(body), len(header)):
+        raise _bad_line(body, numbers()[1:], len(header))
+    status = table[:, pos_status]
+    off = np.flatnonzero((status != 0.0) & (status != 1.0))
+    if off.size:
+        raise TableParseError(numbers()[1 + off[0]],
+                              f"status must be 0 or 1, got {float(status[off[0]])!r}")
+    weight = np.ones(len(body)) if pos_weight is None else table[:, pos_weight]
+    sample = RegressionSample(table[:, pos_time], status.astype(int),
+                              np.ascontiguousarray(table[:, cov_pos]), weight)
     return SurvivalData(sample, names)
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row."""
+    buf = io.StringIO()
+    # a trailing empty field keeps a lone empty string from being quoted
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _write_table(path, header, row_fmt: str, columns) -> None:
+    """Write ``header``, then one ``row_fmt % row`` line per row of ``columns``.
+
+    ``columns`` are equal-length 1-D arrays; rows go out in blocks of
+    :data:`_BLOCK_ROWS`, so memory stays bounded for long tables.  Each
+    block is one ``%`` operation over its cells in row order.
+    """
+    n, k = len(columns[0]), len(columns)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - lo)
+            cells = [None] * (rows * k)
+            for j, col in enumerate(columns):
+                cells[j::k] = col[lo:lo + rows].tolist()
+            fh.write((row_fmt * rows) % tuple(cells))
 
 
 def write_survival_csv(path, sample: RegressionSample, names=None) -> None:
@@ -170,13 +245,9 @@ def write_survival_csv(path, sample: RegressionSample, names=None) -> None:
         f"x{i + 1}" for i in range(sample.d)]
     if len(names) != sample.d:
         raise InvalidInputError("one name per covariate column is required")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "status", "weight", *names])
-        for i in range(sample.n):
-            writer.writerow([_fmt(sample.y[i]), int(sample.delta[i]),
-                             _fmt(sample.weight[i]),
-                             *(_fmt(v) for v in sample.x[i])])
+    _write_table(path, ["time", "status", "weight", *names],
+                 "%.17g,%d,%.17g" + ",%.17g" * sample.d + "\n",
+                 [sample.y, sample.delta, sample.weight, *sample.x.T])
 
 
 def write_step_csv(path, step) -> None:
@@ -185,37 +256,27 @@ def write_step_csv(path, step) -> None:
     A leading row anchors the curve at time zero; missing bounds write as
     ``nan``.
     """
-    def bound(arr, i):
-        return _fmt(arr[i]) if arr is not None else "nan"
+    def column(arr):
+        if arr is None:
+            arr = np.full(step.times.size, np.nan)
+        return np.r_[step.initial, arr]
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "estimate", "lower", "upper"])
-        writer.writerow([_fmt(0.0), _fmt(step.initial),
-                         _fmt(step.initial), _fmt(step.initial)])
-        for i in range(step.times.size):
-            writer.writerow([_fmt(step.times[i]), _fmt(step.values[i]),
-                             bound(step.lower, i), bound(step.upper, i)])
+    _write_table(path, ["time", "estimate", "lower", "upper"],
+                 "%.17g,%.17g,%.17g,%.17g\n",
+                 [np.r_[0.0, step.times], column(step.values),
+                  column(step.lower), column(step.upper)])
 
 
 def write_trace_csv(path, values, value_name: str = "loglik") -> None:
     values = np.asarray(values, dtype=float).ravel()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", value_name])
-        for i, v in enumerate(values, start=1):
-            writer.writerow([i, _fmt(v)])
+    _write_table(path, ["iteration", value_name], "%d,%.17g\n",
+                 [np.arange(1, values.size + 1), values])
 
 
 def write_residuals_csv(path, residuals) -> None:
     """Export fitted residuals with their censoring status and weight."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["residual", "status", "weight"])
-        for i in range(residuals.residual.size):
-            writer.writerow([_fmt(residuals.residual[i]),
-                             int(residuals.delta[i]),
-                             _fmt(residuals.weight[i])])
+    _write_table(path, ["residual", "status", "weight"], "%.17g,%d,%.17g\n",
+                 [residuals.residual, residuals.delta, residuals.weight])
 
 
 def write_curve_csv(path, ages, observed, fitted, model_id: str) -> None:
@@ -224,12 +285,9 @@ def write_curve_csv(path, ages, observed, fitted, model_id: str) -> None:
     fitted = np.asarray(fitted, dtype=float)
     if not (ages.size == observed.size == fitted.size):
         raise InvalidInputError("curve column lengths disagree")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["age", "observed_log_mx", "fitted_log_mx", "model_id"])
-        for i in range(ages.size):
-            writer.writerow([int(ages[i]), _fmt(observed[i]), _fmt(fitted[i]),
-                             model_id])
+    row_fmt = "%d,%.17g,%.17g," + _csv_cell(model_id).replace("%", "%%") + "\n"
+    _write_table(path, ["age", "observed_log_mx", "fitted_log_mx", "model_id"],
+                 row_fmt, [ages.ravel(), observed.ravel(), fitted.ravel()])
 
 
 def write_lee_carter_csv(profile_path, index_path, ages, years, fit) -> None:
@@ -238,13 +296,7 @@ def write_lee_carter_csv(profile_path, index_path, ages, years, fit) -> None:
     years = np.asarray(years)
     if ages.size != fit.a.size or years.size != fit.k.size:
         raise InvalidInputError("grid sizes disagree with the fit")
-    with open(profile_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["age", "level", "loading"])
-        for i in range(ages.size):
-            writer.writerow([int(ages[i]), _fmt(fit.a[i]), _fmt(fit.b[i])])
-    with open(index_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["year", "index"])
-        for j in range(years.size):
-            writer.writerow([int(years[j]), _fmt(fit.k[j])])
+    _write_table(profile_path, ["age", "level", "loading"], "%d,%.17g,%.17g\n",
+                 [ages.ravel(), fit.a, fit.b])
+    _write_table(index_path, ["year", "index"], "%d,%.17g\n",
+                 [years.ravel(), fit.k])

@@ -38,6 +38,19 @@ def simpson_conv(t, b, z, panels=4096):
     return h / 3.0 * np.einsum("m,mij->ij", weights, vals)
 
 
+def aggregate_by_unique(sample):
+    """Tie merging by ``np.unique`` over ``(z, delta)`` rows (reference route).
+
+    Returns the merged ``z``, ``delta`` (int8) and summed ``weight``, sorted
+    by ``(z, delta)``; each group's weights are added in input order.
+    """
+    key = np.stack([sample.z, sample.delta.astype(float)], axis=1)
+    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
+    weight = np.zeros(uniq.shape[0])
+    np.add.at(weight, inverse, sample.weight)
+    return uniq[:, 0], uniq[:, 1].astype(np.int8), weight
+
+
 def random_sub_intensity(rng, p, kind="general"):
     """Random valid sub-intensity with the requested zero pattern."""
     t = np.zeros((p, p))

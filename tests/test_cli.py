@@ -1,11 +1,14 @@
 import csv
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import matlife
 from matlife.cli import main
 from matlife.io import load_model, read_survival_csv, save_model
 from matlife.phasetype import IPHModel, PHRepresentation
@@ -48,6 +51,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("time,wrong\n1.0,1\n")
         assert run("fit-ph", bad) == 2
+
+    @pytest.mark.parametrize("status", ["0.7", "inf"])
+    def test_status_other_than_zero_or_one(self, tmp_path, capsys, status):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"time,status\n1.0,1\n2.0,{status}\n")
+        assert run("fit-ph", bad) == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_covariates_rejected_by_fit_ph(self, tmp_path):
         p = tmp_path / "cov.csv"
@@ -265,4 +275,15 @@ def test_console_script_is_wired():
     proc = subprocess.run([sys.executable, "-m", "matlife.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+    assert "fit-mortality" in proc.stdout
+
+
+def test_package_runs_as_module():
+    # the child finds the package where this process imported it from
+    src = str(pathlib.Path(matlife.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "matlife", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
     assert "fit-mortality" in proc.stdout

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -31,7 +31,11 @@ from matlife.exceptions import (
 from matlife.linalg import PRODUCTS_COND_LIMIT, mexp
 from matlife.phasetype import IPHModel, PHRepresentation
 
-from helpers import mc_conditional_stats, random_representation
+from helpers import (
+    aggregate_by_unique,
+    mc_conditional_stats,
+    random_representation,
+)
 
 
 def quad_conditional_stats(rep, z, observed):
@@ -100,6 +104,22 @@ class TestSample:
                                 agg.weight[::-1]).aggregate()
         for name in ("z", "delta", "weight"):
             got, want = getattr(merged, name), getattr(agg, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), name
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_aggregate_matches_unique_oracle(self, data):
+        # ties in both censoring groups, in any input order
+        n = data.draw(st.integers(1, 40))
+        z = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.25, 3.0, 1e-3]),
+                               min_size=n, max_size=n))
+        delta = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        w = data.draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
+        s = CensoredSample(z, delta, w)
+        agg = s.aggregate()
+        for name, want in zip(("z", "delta", "weight"), aggregate_by_unique(s)):
+            got = getattr(agg, name)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), name
 
@@ -247,6 +267,11 @@ class TestSpectralEStep:
         z = np.round(rng.exponential(2.0, n), 1) + 0.1
         delta = rng.integers(0, 2, n)
         w = rng.uniform(0.2, 3.0, n)
+        # hypothesis mixes literals from the package source into its draws,
+        # so an edit anywhere in matlife can change the seeds drawn here; a
+        # seed whose chain is too ill-conditioned for the spectral route has
+        # nothing to compare (the near-equal chain tests cover the fallback)
+        assume(rep._spectrum is not None)
         assert_routes_agree(rep, CensoredSample(z, delta, w))
 
     def test_complex_eigenvalue_pair(self):
