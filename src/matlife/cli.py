@@ -108,7 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outer", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--nm-budget", type=int, default=None)
+    p.add_argument("--nm-budget", type=int, default=None,
+                   help="objective-and-gradient evaluations per coefficient "
+                        "step (default 300)")
     _add_common(p)
     p.set_defaults(func=_cmd_fit_pi)
 
@@ -127,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--em-iters", type=int, default=None,
                    help="outer iterations for the likelihood warm start")
     p.add_argument("--em-tol", type=float, default=None)
-    p.add_argument("--nm-budget", type=int, default=None)
+    p.add_argument("--nm-budget", type=int, default=None,
+                   help="objective-and-gradient evaluations per coefficient "
+                        "step of the warm start (default 250)")
     p.add_argument("--max-evals", type=int, default=None,
                    help="objective evaluations per direct-fit round")
     p.add_argument("--restarts", type=int, default=None)

@@ -116,13 +116,18 @@ def _risk_table(sample: CensoredSample):
 
     Deaths at a tied time are counted before censorings at that time.
     """
+    # aggregate() sorts by (z, delta) and merges ties, so a time holds at
+    # most one censored row followed by at most one death row
     agg = sample.aggregate()
-    times = np.unique(agg.z)
+    first = np.ones(agg.z.size, dtype=bool)
+    first[1:] = agg.z[1:] != agg.z[:-1]
+    times = agg.z[first]
+    pos = np.cumsum(first) - 1
+    dead = agg.delta == 1
     d = np.zeros(times.size)
     c = np.zeros(times.size)
-    pos = np.searchsorted(times, agg.z)
-    np.add.at(d, pos[agg.delta == 1], agg.weight[agg.delta == 1])
-    np.add.at(c, pos[agg.delta == 0], agg.weight[agg.delta == 0])
+    d[pos[dead]] = agg.weight[dead]
+    c[pos[~dead]] = agg.weight[~dead]
     removed = np.concatenate([[0.0], np.cumsum(d + c)[:-1]])
     n = sample.total_weight - removed
     return times, d, c, n

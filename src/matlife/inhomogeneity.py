@@ -4,7 +4,9 @@ A transform is described by its intensity ``lam(s)`` (the local speed of the
 clock), its integral ``cumulative(y)`` mapping lifetime scale to operational
 scale, and the inverse map ``inverse_cumulative(z)``.  Three parametric
 families are provided (exponential-rate, power, identity) plus two wrappers
-used for conditional and covariate-scaled models.
+used for conditional and covariate-scaled models.  The families also give
+the derivatives of ``cumulative`` and ``log_intensity`` with respect to the
+log of their parameter, for the regression coefficient step.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ class GompertzTransform:
         with np.errstate(over="ignore"):
             return np.expm1(self.beta * np.asarray(y, dtype=float)) / self.beta
 
+    def cumulative_dlog_param(self, y):
+        """``d cumulative(y) / d log(beta)``, that is ``y exp(beta y) - G``."""
+        y = np.asarray(y, dtype=float)
+        with np.errstate(over="ignore"):
+            return y * np.exp(self.beta * y) - self.cumulative(y)
+
+    def log_intensity_dlog_param(self, s):
+        """``d log_intensity(s) / d log(beta)``, that is ``beta s``."""
+        return self.log_intensity(s)
+
     def inverse_cumulative(self, z):
         return np.log1p(self.beta * np.asarray(z, dtype=float)) / self.beta
 
@@ -87,6 +99,17 @@ class WeibullTransform:
     def cumulative(self, y):
         return np.asarray(y, dtype=float) ** self.theta
 
+    def cumulative_dlog_param(self, y):
+        """``d cumulative(y) / d log(theta)``, that is ``theta log(y) y**theta``."""
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(y > 0, self.theta * np.log(y) * self.cumulative(y), 0.0)
+
+    def log_intensity_dlog_param(self, s):
+        """``d log_intensity(s) / d log(theta)``, that is ``1 + theta log(s)``."""
+        with np.errstate(divide="ignore"):
+            return 1.0 + self.theta * np.log(np.asarray(s, dtype=float))
+
     def inverse_cumulative(self, z):
         return np.asarray(z, dtype=float) ** (1.0 / self.theta)
 
@@ -108,6 +131,12 @@ class IdentityTransform:
 
     def cumulative(self, y):
         return np.asarray(y, dtype=float)
+
+    def cumulative_dlog_param(self, y):
+        """Zero: the identity clock has no parameter."""
+        return np.zeros_like(np.asarray(y, dtype=float))
+
+    log_intensity_dlog_param = cumulative_dlog_param
 
     def inverse_cumulative(self, z):
         return np.asarray(z, dtype=float)

@@ -151,18 +151,31 @@ def ph_products(rep: PHRepresentation, z: np.ndarray) -> tuple[np.ndarray, np.nd
     1e7).  Otherwise (near-defective ``T``) it is one stacked matrix
     exponential per point.
     """
+    return _products(rep, z, slope=False)
+
+
+def _products(rep: PHRepresentation, z, slope: bool) -> tuple[np.ndarray, ...]:
+    """:func:`ph_products`, followed when ``slope`` is set by the derivative
+    ``pi T expm(Tz) t`` of the density factor in ``z``, all from one
+    exponential of ``z`` times the spectrum (or one stack of fronts)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z < 0):
         raise InvalidInputError("operational times must be nonnegative")
     if z.size == 0:
-        return np.zeros(0), np.zeros(0)
+        return (np.zeros(0),) * (3 if slope else 2)
     spectrum = rep._spectrum
     if spectrum is not None:
         ez = np.exp(np.multiply.outer(z, spectrum.eigvals))
-        return (np.maximum((ez @ spectrum.exit_coef).real, 0.0),
-                np.maximum((ez @ spectrum.ones_coef).real, 0.0))
+        out = (np.maximum((ez @ spectrum.exit_coef).real, 0.0),
+               np.maximum((ez @ spectrum.ones_coef).real, 0.0))
+        if slope:
+            out += ((ez @ (spectrum.eigvals * spectrum.exit_coef)).real,)
+        return out
     w = _stacked_fronts(rep, z)
-    return w @ rep.exit_rates, w.sum(axis=1)
+    out = (w @ rep.exit_rates, w.sum(axis=1))
+    if slope:
+        out += (w @ (rep.T @ rep.exit_rates),)
+    return out
 
 
 def _stacked_fronts(rep: PHRepresentation, z: np.ndarray) -> np.ndarray:

@@ -93,6 +93,12 @@ class TestKaplanMeier:
         assert np.all(km.lower <= km.values + 1e-15)
         assert np.all(km.values <= km.upper + 1e-15)
 
+    def test_death_and_censoring_at_one_time(self):
+        # both rows share one jump time and both count as at risk there
+        km = kaplan_meier(CensoredSample([2.0, 1.0, 1.0], [1, 1, 0], np.ones(3)))
+        assert_allclose(km.times, [1.0, 2.0])
+        assert_allclose(km.values, [2.0 / 3.0, 0.0], rtol=1e-15)
+
     def test_weights_equal_replication(self):
         tied = CensoredSample([1.0, 1.0, 2.0, 3.0], [1, 1, 0, 1], np.ones(4))
         weighted = CensoredSample([1.0, 2.0, 3.0], [1, 0, 1], [2.0, 1.0, 1.0])

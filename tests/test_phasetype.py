@@ -23,6 +23,7 @@ from matlife.phasetype import (
     CoxianSpec,
     IPHModel,
     PHRepresentation,
+    _products,
     coxian_density,
     ph_products,
     tail_hazard_constant,
@@ -431,6 +432,13 @@ class TestProducts:
         assert np.all(dens >= 0) and np.all(surv >= 0)
         assert_allclose(dens, rows @ rep.exit_rates, rtol=1e-9, atol=0)
         assert_allclose(surv, rows.sum(axis=1), rtol=1e-9, atol=0)
+        # the slope pi T expm(Tz) t changes sign, so it is held to the scale
+        # S(z) max|T t| that bounds it
+        with_slope = _products(rep, z, slope=True)
+        assert all(np.array_equal(a, b) for a, b in zip(with_slope, (dens, surv)))
+        tt = rep.T @ rep.exit_rates
+        assert np.all(np.abs(with_slope[2] - rows @ tt)
+                      <= 1e-9 * rows.sum(axis=1) * np.abs(tt).max())
 
     @staticmethod
     def tail_grid(rep, n=25):
