@@ -61,7 +61,7 @@ from .mortality import (
     model_log_mortality,
 )
 from .phasetype import IPHModel
-from .regression import PIFitConfig, PIModel, fit_pi, pi_loglik
+from .regression import STEP_BUDGET, PIFitConfig, PIModel, fit_pi, pi_loglik
 
 _PARSE_ERRORS = (TableParseError, InvalidInputError, FileNotFoundError,
                  IsADirectoryError, PermissionError)
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--nm-budget", type=int, default=None,
                    help="objective-and-gradient evaluations per coefficient "
-                        "step (default 300)")
+                        f"step (default {STEP_BUDGET})")
     _add_common(p)
     p.set_defaults(func=_cmd_fit_pi)
 
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--em-tol", type=float, default=None)
     p.add_argument("--nm-budget", type=int, default=None,
                    help="objective-and-gradient evaluations per coefficient "
-                        "step of the warm start (default 250)")
+                        f"step of the warm start (default {STEP_BUDGET})")
     p.add_argument("--max-evals", type=int, default=None,
                    help="objective evaluations per direct-fit round")
     p.add_argument("--restarts", type=int, default=None)
@@ -240,7 +240,7 @@ def _cmd_fit_pi(args) -> int:
         max_outer=int(resolve("max_outer", 200)),
         tol=float(resolve("tol", 1e-6)),
         patience=int(resolve("patience", 5)),
-        nm_budget=int(resolve("nm_budget", 300)),
+        nm_budget=int(resolve("nm_budget", STEP_BUDGET)),
         shape_covariates=bool(resolve("shape_covariates", False)))
     result = fit_pi(data.sample, spec, family=resolve("family", "weibull"),
                     config=config, rng=rng)
@@ -282,7 +282,7 @@ def _cmd_fit_mortality(args) -> int:
     em_config = PIFitConfig(max_outer=int(resolve("em_iters", 200)),
                             tol=float(resolve("em_tol", 1e-8)),
                             patience=10,
-                            nm_budget=int(resolve("nm_budget", 250)))
+                            nm_budget=int(resolve("nm_budget", STEP_BUDGET)))
     em_fit = fit_pi(sample.as_regression_sample(), StructureSpec(structure, order),
                     family=family, config=em_config, rng=rng)
     pm = em_fit.model

@@ -365,8 +365,7 @@ def _variant_settings(variant: str):
 def fit_study_variant(sample, variant: str, rng=None,
                       config: PIFitConfig | None = None) -> PIFitResult:
     """Fit one of the study's three model variants to a dataset."""
-    base = config or PIFitConfig(max_outer=500, tol=1e-7, patience=5,
-                                 nm_budget=300)
+    base = config or PIFitConfig(max_outer=500, tol=1e-7, patience=5)
     spec, shape_cov = _variant_settings(variant)
     cfg = PIFitConfig(max_outer=base.max_outer, tol=base.tol,
                       patience=base.patience, nm_budget=base.nm_budget,

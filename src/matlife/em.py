@@ -27,7 +27,7 @@ from .exceptions import (
     InvalidInputError,
 )
 from .linalg import expm_and_conv
-from .phasetype import PHRepresentation, Spectrum, ph_products
+from .phasetype import PHRepresentation, Spectrum, _censored_loglik
 
 __all__ = [
     "SurvObservation",
@@ -359,19 +359,10 @@ def loglik(rep: PHRepresentation, data) -> float:
     """Weighted censored log-likelihood on the operational scale.
 
     Returns ``-inf`` (rather than raising) when an observed point has zero
-    density.
+    density or a censored point zero survival.
     """
-    sample = CensoredSample.coerce(data)
-    agg = sample.aggregate()
-    zs, keep = np.unique(agg.z, return_inverse=True)
-    dens, surv = ph_products(rep, zs)
-    with np.errstate(divide="ignore"):
-        logdens = np.log(dens[keep])
-        logsurv = np.log(surv[keep])
-    obs = agg.delta == 1
-    out = float(np.sum(agg.weight[obs] * logdens[obs]))
-    out += float(np.sum(agg.weight[~obs] * logsurv[~obs]))
-    return out
+    agg = CensoredSample.coerce(data).aggregate()
+    return _censored_loglik(rep, agg.z, agg.delta == 1, agg.weight)
 
 
 @dataclass(frozen=True)

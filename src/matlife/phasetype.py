@@ -159,7 +159,7 @@ def _products(rep: PHRepresentation, z, slope: bool) -> tuple[np.ndarray, ...]:
     ``pi T expm(Tz) t`` of the density factor in ``z``, all from one
     exponential of ``z`` times the spectrum (or one stack of fronts)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z < 0):
+    if not np.all(z >= 0):
         raise InvalidInputError("operational times must be nonnegative")
     if z.size == 0:
         return (np.zeros(0),) * (3 if slope else 2)
@@ -176,6 +176,29 @@ def _products(rep: PHRepresentation, z, slope: bool) -> tuple[np.ndarray, ...]:
     if slope:
         out += (w @ (rep.T @ rep.exit_rates),)
     return out
+
+
+def _censored_loglik(rep: PHRepresentation, z, observed, weight,
+                     log_jacobian=0.0, slope: bool = False):
+    """Sum of ``weight * (log f(z) + log_jacobian)`` over ``observed`` rows
+    and of ``weight * log S(z)`` over the rest, for the products ``f`` and
+    ``S`` of :func:`ph_products` and the clock's log-intensity
+    ``log_jacobian``.  It is ``-inf``, never an error, where a factor
+    vanishes or ``z`` overflowed to ``+inf`` (past survival underflow).
+    With ``slope`` the result is ``(value, d)``, ``d`` being each row's
+    derivative in ``z`` of its log factor, ``f'/f`` or ``-f/S`` (``None``
+    when the value is ``-inf``)."""
+    z = np.asarray(z, dtype=float)
+    overflow = z == np.inf
+    products = _products(rep, np.where(overflow, 0.0, z), slope)
+    factor = np.where(observed, products[0], products[1])
+    if overflow.any() or not np.all(factor > 0):
+        return (-np.inf, None) if slope else -np.inf
+    value = float(np.sum(weight * (np.log(factor)
+                                   + np.where(observed, log_jacobian, 0.0))))
+    if not slope:
+        return value
+    return value, np.where(observed, products[2], -products[0]) / factor
 
 
 def _stacked_fronts(rep: PHRepresentation, z: np.ndarray) -> np.ndarray:
@@ -235,6 +258,13 @@ def tail_hazard_constant(rep: PHRepresentation) -> float:
     raise DomainError("could not find a representable tail point")
 
 
+def _ages(y) -> np.ndarray:
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if np.any(y < 0) or not np.all(np.isfinite(y)):
+        raise InvalidInputError("evaluation points must be finite and nonnegative")
+    return y
+
+
 @dataclass(frozen=True)
 class IPHModel:
     """Lifetime distribution ``Y = g(Z)`` for a phase-type absorption time."""
@@ -252,9 +282,7 @@ class IPHModel:
         Where survival underflows (below 1e-300) the hazard is reported as
         ``c * lam(y)`` using the tail constant ``c`` and flagged.
         """
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(y_arr < 0) or not np.all(np.isfinite(y_arr)):
-            raise InvalidInputError("evaluation points must be finite and nonnegative")
+        y_arr = _ages(y)
         z = np.atleast_1d(np.asarray(self.transform.cumulative(y_arr), dtype=float))
         # points where the operational clock overflows lie far past survival
         # underflow; evaluate them at zero and overwrite below
@@ -354,24 +382,19 @@ class IPHModel:
             return mexp(m) @ matrix_function(m, "exp1") / beta
         raise NotImplementedError(f"no green-matrix formula for family {fam!r}")
 
-    def loglik(self, z, delta=None, weight=None) -> float:
-        """Weighted censored log-likelihood of observation times ``z``.
+    def loglik(self, y, delta=None, weight=None) -> float:
+        """Weighted censored log-likelihood of lifetimes ``y``.
 
-        ``delta`` defaults to all observed, ``weight`` to ones.  Returns
-        ``-inf`` rather than raising when a density or survival vanishes.
+        ``delta`` defaults to all observed, ``weight`` to ones.  Negative or
+        non-finite ages raise; otherwise the result is ``-inf``, never an
+        error, when a density or survival factor vanishes or the clock
+        overflows.
         """
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        delta = (np.ones(z.size, dtype=int) if delta is None
-                 else np.asarray(delta).ravel())
-        weight = (np.ones(z.size) if weight is None
-                  else np.asarray(weight, dtype=float).ravel())
-        ev = self.evaluate(z)
-        with np.errstate(divide="ignore"):
-            logf = np.log(ev.density)
-            logs = np.log(ev.survival)
-        obs = delta == 1
-        return float(np.sum(weight[obs] * logf[obs])
-                     + np.sum(weight[~obs] * logs[~obs]))
+        y = _ages(y)
+        observed = True if delta is None else np.asarray(delta).ravel() == 1
+        weight = 1.0 if weight is None else np.asarray(weight, dtype=float).ravel()
+        return _censored_loglik(self.rep, self.transform.cumulative(y), observed,
+                                weight, self.transform.log_intensity(y))
 
     def residual_lifetime(self, x: float) -> "IPHModel":
         """Distribution of ``Y - x`` given ``Y > x``; same sub-intensity,

@@ -18,11 +18,9 @@ import numpy as np
 from .em import (
     DEAD_STATE_TOL,
     CensoredSample,
-    EMConfig,
     StructureSpec,
     e_step,
     init_structure,
-    loglik as ph_loglik,
     m_step,
     n_free_parameters,
 )
@@ -32,7 +30,7 @@ from .exceptions import (
     ScoreOverflowError,
 )
 from .inhomogeneity import ScaledTransform, make_transform
-from .phasetype import Evaluation, IPHModel, PHRepresentation, _products
+from .phasetype import Evaluation, IPHModel, PHRepresentation, _censored_loglik
 
 __all__ = [
     "RegObservation",
@@ -48,6 +46,9 @@ __all__ = [
 
 #: linear predictors beyond this overflow the exponential link
 SCORE_LIMIT = 700.0
+
+#: default cap on objective-and-gradient evaluations per coefficient step
+STEP_BUDGET = 100
 
 
 class RegObservation(NamedTuple):
@@ -173,51 +174,62 @@ class PIModel:
     def d(self) -> int:
         return self.beta.size
 
-    def _scores(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def _scores(self, x) -> tuple[np.ndarray, np.ndarray | None]:
+        """:func:`_scores` of the model's coefficients on covariate rows."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None] if self.d == 1 else x[None, :]
         if x.shape[1] != self.d:
             raise InvalidInputError(f"expected {self.d} covariates, got {x.shape[1]}")
-        rate_score = x @ self.beta
-        if self.gamma is None:
-            return rate_score, None
-        shape_score = self.gamma[0] + x @ self.gamma[1:1 + x.shape[1]] \
-            if self.gamma.size > 1 else np.full(x.shape[0], self.gamma[0])
-        return rate_score, shape_score
+        return _scores(self.beta, self.gamma, x)
 
     def rate_factor(self, x) -> np.ndarray:
         """Multiplicative intensity factor ``exp(x @ beta)`` per row."""
-        score, _ = self._scores(x)
-        bad = np.abs(score) > SCORE_LIMIT
-        if np.any(bad):
-            raise ScoreOverflowError(int(np.flatnonzero(bad)[0]))
-        return np.exp(score)
+        return np.exp(self._scores(x)[0])
 
     def shape_param(self, x) -> np.ndarray | None:
         """Per-row transform parameter, or ``None`` for the identity family."""
-        _, score = self._scores(x)
-        if score is None:
-            return None
-        bad = np.abs(score) > SCORE_LIMIT
-        if np.any(bad):
-            raise ScoreOverflowError(int(np.flatnonzero(bad)[0]))
-        return np.exp(score)
+        return self._scores(x)[1]
 
     def conditional_model(self, x_row) -> IPHModel:
         """Lifetime distribution for one covariate row."""
         x_row = np.atleast_1d(np.asarray(x_row, dtype=float))
-        factor = float(self.rate_factor(x_row[None, :])[0])
-        if self.family == "identity":
-            base = make_transform("identity")
-        else:
-            theta = float(self.shape_param(x_row[None, :])[0])
-            base = make_transform(self.family, theta)
-        return IPHModel(self.rep, ScaledTransform(base, factor))
+        rate_score, theta = self._scores(x_row[None, :])
+        base = make_transform(self.family, None if theta is None else float(theta[0]))
+        return IPHModel(self.rep, ScaledTransform(base, float(np.exp(rate_score[0]))))
 
     def predict(self, x_row, y) -> Evaluation:
         """Conditional density/survival/hazard/cumulative hazard at ``y``."""
         return self.conditional_model(x_row).evaluate(y)
+
+
+def _scores(beta: np.ndarray, gamma: np.ndarray | None,
+            x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rate score ``x beta`` and transform parameter ``exp(gamma_0 + x
+    gamma_1)`` of each covariate row (``None`` without ``gamma``).  Raises
+    :class:`ScoreOverflowError` at the first row where either linear
+    predictor passes :data:`SCORE_LIMIT` in magnitude."""
+    rate_score = x @ beta
+    bad = np.abs(rate_score) > SCORE_LIMIT
+    theta = None
+    if gamma is not None:
+        shape_score = (gamma[0] + x @ gamma[1:] if gamma.size > 1
+                       else np.full(x.shape[0], gamma[0]))
+        bad |= np.abs(shape_score) > SCORE_LIMIT
+        theta = np.exp(shape_score)
+    if bad.any():
+        raise ScoreOverflowError(int(np.flatnonzero(bad)[0]))
+    return rate_score, theta
+
+
+def _clock(family: str, scores, y) -> tuple[np.ndarray, np.ndarray, object]:
+    """Operational times ``z = exp(x beta) G(y; theta)``, the log-intensity
+    ``x beta + log lam(y; theta)`` of each row's clock and the transform
+    ``G``, given the rows' :func:`_scores`."""
+    rate_score, theta = scores
+    clock = make_transform(family, theta)
+    z = np.exp(rate_score) * clock.cumulative(y)
+    return z, rate_score + clock.log_intensity(y), clock
 
 
 def transform(model: PIModel, y, x) -> np.ndarray:
@@ -227,39 +239,29 @@ def transform(model: PIModel, y, x) -> np.ndarray:
     for each covariate row.  Overflowing linear predictors raise with the
     first offending observation index.
     """
-    y = np.asarray(y, dtype=float)
-    factor = model.rate_factor(x)
-    theta = model.shape_param(x)
-    return factor * make_transform(model.family, theta).cumulative(y)
+    return _clock(model.family, model._scores(x), y)[0]
 
 
 def pi_loglik(model: PIModel, data) -> float:
     """Weighted conditional log-likelihood of a regression model.
 
     Change of variables: the phase-type log-likelihood of the transformed
-    times plus, for observed rows, the log-intensity Jacobian.
+    times plus, for observed rows, the log-intensity Jacobian.  Overflowing
+    linear predictors raise :class:`ScoreOverflowError` with the first
+    offending row; otherwise the result is ``-inf``, never an error, when a
+    density or survival factor vanishes or the clock overflows.
     """
     sample = RegressionSample.coerce(data)
-    z = transform(model, sample.y, sample.x)
-    ph_part = ph_loglik(model.rep, CensoredSample(z, sample.delta, sample.weight))
-    obs = sample.delta == 1
-    if not obs.any():
-        return ph_part
-    factor = model.rate_factor(sample.x[obs])
-    theta = model.shape_param(sample.x[obs])
-    clock = make_transform(model.family, theta)
-    jac = np.log(factor) + clock.log_intensity(sample.y[obs])
-    return ph_part + float(np.sum(sample.weight[obs] * jac))
+    z, log_lam, _ = _clock(model.family, model._scores(sample.x), sample.y)
+    return _censored_loglik(model.rep, z, sample.delta == 1, sample.weight, log_lam)
 
 
 def _pack(beta: np.ndarray, gamma: np.ndarray | None) -> np.ndarray:
     return beta.copy() if gamma is None else np.concatenate([beta, gamma])
 
 
-def _unpack(vec: np.ndarray, d: int, has_gamma: bool, gamma_len: int):
-    if not has_gamma:
-        return vec[:d], None
-    return vec[:d], vec[d:d + gamma_len]
+def _unpack(vec: np.ndarray, d: int, gamma_len: int):
+    return vec[:d], vec[d:d + gamma_len] if gamma_len else None
 
 
 def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample,
@@ -271,48 +273,28 @@ def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample
     ``log f(z) + r + log lam(y; theta)`` and a censored row ``log S(z)``.  The
     representation is held fixed, so the chain rule needs only ``f'(z)``
     besides the products and the two log-parameter derivatives of the clock.
-    Non-finite or overflowing parameter points score ``+inf`` so the line
-    search backs away from them.
+    Zero-likelihood, non-finite or overflowing parameter points score
+    ``+inf`` so the line search backs away from them.
     """
     d = sample.d
     x, y, w = sample.x, sample.y, sample.weight
     obs = sample.delta == 1
-    cen = ~obs
-    wo, wc = w[obs], w[cen]
     w_obs = np.where(obs, w, 0.0)
-    has_gamma = family != "identity"
 
     def objective(vec):
-        beta, gamma = _unpack(vec, d, has_gamma, gamma_len)
-        rate_score = x @ beta
-        if np.abs(rate_score).max(initial=0.0) > SCORE_LIMIT:
+        beta, gamma = _unpack(vec, d, gamma_len)
+        try:
+            scores = _scores(beta, gamma, x)
+        except ScoreOverflowError:
             return np.inf, None
-        factor = np.exp(rate_score)
-        if has_gamma:
-            shape_score = gamma[0] + (x @ gamma[1:] if gamma.size > 1 else 0.0)
-            shape_score = np.broadcast_to(np.asarray(shape_score, dtype=float),
-                                          (sample.n,))
-            if np.abs(shape_score).max() > SCORE_LIMIT:
-                return np.inf, None
-            clock = make_transform(family, np.exp(shape_score))
-        else:
-            clock = make_transform(family)
-        z = factor * clock.cumulative(y)
-        if not np.all(np.isfinite(z)):
+        z, log_lam, clock = _clock(family, scores, y)
+        val, slope = _censored_loglik(rep, z, obs, w, log_lam, slope=True)
+        if slope is None:
             return np.inf, None
-        dens, surv, slope = _products(rep, z, slope=True)
-        do, sc = dens[obs], surv[cen]
-        if np.any(do <= 0) or np.any(sc <= 0):
-            return np.inf, None
-        log_lam = clock.log_intensity(y)
-        val = (np.sum(wo * (np.log(do) + rate_score[obs] + log_lam[obs]))
-               + np.sum(wc * np.log(sc)))
-        dz = np.empty(sample.n)
-        dz[obs] = wo * slope[obs] / do
-        dz[cen] = -wc * dens[cen] / sc
+        dz = w * slope
         grad = [(dz * z + w_obs) @ x]
-        if has_gamma:
-            dshape = (dz * factor * clock.cumulative_dlog_param(y)
+        if gamma_len:
+            dshape = (dz * np.exp(scores[0]) * clock.cumulative_dlog_param(y)
                       + w_obs * clock.log_intensity_dlog_param(y))
             grad.append(np.concatenate([[dshape.sum()], dshape @ x])
                         if gamma_len > 1 else [dshape.sum()])
@@ -325,7 +307,7 @@ def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample
 
 
 def _descend(objective, x: np.ndarray, f: float, g: np.ndarray,
-             budget: int) -> np.ndarray:
+             budget: int) -> tuple[np.ndarray, float]:
     """BFGS on the inverse Hessian with Armijo backtracking.
 
     The first step has max-norm one, after which the inverse Hessian starts
@@ -335,7 +317,7 @@ def _descend(objective, x: np.ndarray, f: float, g: np.ndarray,
     tenth and a half of it; a non-finite one halves it.  Stops when a step
     can gain (or, accepted, gained) at most 1e-13 relative, when the
     gradient vanishes (max-norm 1e-9), or after ``budget`` evaluations
-    counting the start.
+    counting the start.  Returns the last accepted point and its value.
     """
     evals = 1
     h = None
@@ -367,31 +349,32 @@ def _descend(objective, x: np.ndarray, f: float, g: np.ndarray,
                 h = (sy / (yk @ yk)) * np.eye(x.size)
             v = np.eye(x.size) - np.outer(s, yk) / sy
             h = v @ h @ v.T + np.outer(s, s) / sy
-    return x
+    return x, f
 
 
 def maximize_regression(rep: PHRepresentation, family: str, data,
                         beta: np.ndarray, gamma: np.ndarray | None,
-                        budget: int = 500) -> tuple[np.ndarray, np.ndarray | None]:
+                        budget: int = STEP_BUDGET
+                        ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """One coefficient-improvement pass with the representation held fixed.
 
     A quasi-Newton descent on the exact gradient from the supplied
     coefficients, capped at ``budget`` objective-and-gradient evaluations;
     the returned coefficients never score worse than the starting point.
+    Returns them with their log-likelihood, :func:`pi_loglik` of the sample.
     """
     sample = RegressionSample.coerce(data)
     beta = np.asarray(beta, dtype=float).ravel()
     gamma = None if gamma is None else np.asarray(gamma, dtype=float).ravel()
-    x0 = _pack(beta, gamma)
-    if x0.size == 0:
-        return beta, gamma
+    x = _pack(beta, gamma)
     gamma_len = 0 if gamma is None else gamma.size
     objective = _fast_objective(rep, family, sample, gamma_len)
-    f0, g0 = objective(x0)
-    if not np.isfinite(f0):
+    f, g = objective(x)
+    if not np.isfinite(f):
         raise InvalidInputError("starting coefficients have zero likelihood")
-    x = _descend(objective, x0, f0, g0, budget)
-    return _unpack(x, beta.size, gamma is not None, gamma_len)
+    if x.size:
+        x, f = _descend(objective, x, f, g, budget)
+    return (*_unpack(x, beta.size, gamma_len), -f)
 
 
 @dataclass(frozen=True)
@@ -402,7 +385,7 @@ class PIFitConfig:
     max_outer: int = 2000
     tol: float = 1e-4
     patience: int = 5
-    nm_budget: int = 500
+    nm_budget: int = STEP_BUDGET
     shape_covariates: bool = False   # regress the transform parameter on x
 
 
@@ -498,9 +481,9 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
                             f"outer iteration {iterations}: {err}") from err
         dead_events += int(np.sum(stats.v <= DEAD_STATE_TOL * max(1.0, total)))
         rep = m_step(stats, total, spec, previous=rep)
-        beta, gamma = maximize_regression(rep, family, internal, beta, gamma,
-                                          budget=config.nm_budget)
-        trace.append(pi_loglik(PIModel(rep, family, beta, gamma), internal))
+        beta, gamma, ll = maximize_regression(rep, family, internal, beta, gamma,
+                                              budget=config.nm_budget)
+        trace.append(ll)
         iterations += 1
         if len(trace) >= 2:
             rel = abs(trace[-1] - trace[-2]) / max(1e-10, abs(trace[-1]))

@@ -93,6 +93,21 @@ class TestExitCodes:
                    "--out-dir", tmp_path) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_clock_overflow_returns_three(self, tmp_path, capsys):
+        # a Gompertz clock overflows at age 80, so the likelihood is -inf
+        # and the residual computation refuses the zero survival
+        model_path = tmp_path / "model.json"
+        save_model(model_path, PIModel(PHRepresentation([1.0], [[-0.5]]),
+                                       "gompertz", beta=[0.0],
+                                       gamma=[np.log(10.0)]))
+        data = tmp_path / "data.csv"
+        data.write_text("time,status,x\n0.1,1,0.5\n80.0,1,1.0\n")
+        assert run("diagnose", data, "--model", model_path,
+                   "--out-dir", tmp_path) == 3
+        out = capsys.readouterr()
+        assert "loglik=-inf" in out.out
+        assert "numerical failure" in out.err
+
     def test_covariate_count_mismatch(self, tmp_path):
         model_path = tmp_path / "model.json"
         save_model(model_path, PIModel(PHRepresentation([1.0], [[-1.0]]),
@@ -272,8 +287,10 @@ class TestLeeCarter:
 
 
 def test_console_script_is_wired():
+    src = str(pathlib.Path(matlife.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-m", "matlife.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "fit-mortality" in proc.stdout
 

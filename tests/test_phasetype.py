@@ -487,5 +487,6 @@ class TestProducts:
         rep = random_representation(np.random.default_rng(6), 2)
         dens, surv = ph_products(rep, [])
         assert dens.shape == surv.shape == (0,)
-        with pytest.raises(InvalidInputError):
-            ph_products(rep, [1.0, -0.5])
+        for bad in ([1.0, -0.5], [np.nan]):
+            with pytest.raises(InvalidInputError):
+                ph_products(rep, bad)

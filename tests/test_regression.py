@@ -13,6 +13,7 @@ from scipy.stats import kstest
 from matlife import regression
 from matlife.em import StructureSpec, loglik as ph_loglik, CensoredSample
 from matlife.exceptions import InvalidInputError, ScoreOverflowError
+from matlife.inhomogeneity import make_transform
 from matlife.mortality import implied_sample, load_table
 from matlife.phasetype import CoxianSpec, IPHModel, PHRepresentation
 from matlife.regression import (
@@ -163,6 +164,58 @@ class TestLoglik:
                         rtol=1e-13)
 
 
+class TestOneLikelihood:
+    """The four log-likelihood routes share one kernel and agree."""
+
+    @given(family=st.sampled_from(["identity", "weibull", "gompertz"]),
+           spectral=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_routes_agree(self, family, spectral, seed):
+        rng = np.random.default_rng(seed)
+        if spectral:
+            rep = random_representation(rng, 3)
+        else:
+            # rate gaps of 1e-5 put cond(V) far past the spectral limit
+            rep = CoxianSpec(1.0 + 1e-5 * np.arange(3),
+                             [0.9, 0.9]).to_representation()
+        assert (rep._spectrum is not None) == spectral
+        n = 30
+        # two-decimal ages tie, so em.loglik merges rows before summing
+        y = np.round(rng.uniform(0.05, 1.5, n), 2)
+        delta = rng.integers(0, 2, n)
+        w = rng.uniform(0.5, 2.0, n)
+        sample = RegressionSample(y, delta, np.empty((n, 0)), w)
+        gamma = None if family == "identity" else np.log(rng.uniform(0.5, 2.0, 1))
+        clock = make_transform(family, None if gamma is None else np.exp(gamma[0]))
+        obs = delta == 1
+        want = IPHModel(rep, clock).loglik(y, delta, w)
+        got = [ph_loglik(rep, CensoredSample(clock.cumulative(y), delta, w))
+               + np.sum(w[obs] * clock.log_intensity(y[obs])),
+               pi_loglik(PIModel(rep, family, [], gamma), sample),
+               -_fast_objective(rep, family, sample, 0 if gamma is None else 1)(
+                   np.zeros(0) if gamma is None else gamma)[0]]
+        assert np.isfinite(want)
+        assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("family, theta, y, want", [
+        # z = 0.01**200 underflows to zero, where f(0) = 0.5 is positive;
+        # closed form of two observed rows under f(z) = 0.5 exp(-z / 2)
+        ("weibull", 200.0, [0.01, 1.0],
+         2 * np.log(0.5) - 0.5 + 2 * np.log(200.0) + 199 * np.log(0.01)),
+        # the clock overflows at age 80: zero likelihood, not an error
+        ("gompertz", 10.0, [0.1, 80.0], -np.inf),
+    ], ids=["weibull-underflow", "gompertz-overflow"])
+    def test_clock_underflow_and_overflow(self, family, theta, y, want):
+        rep = PHRepresentation([1.0], [[-0.5]])
+        y = np.asarray(y)
+        sample = RegressionSample(y, np.ones(y.size, dtype=int),
+                                  np.empty((y.size, 0)), np.ones(y.size))
+        got = [IPHModel(rep, make_transform(family, theta)).loglik(y),
+               pi_loglik(PIModel(rep, family, [], [np.log(theta)]), sample),
+               -_fast_objective(rep, family, sample, 1)(np.log([theta]))[0]]
+        assert_allclose(got, want, rtol=1e-12)
+
+
 class TestGradient:
     @given(family=st.sampled_from(["weibull", "gompertz", "identity"]),
            per_covariate=st.booleans(), spectral=st.booleans(),
@@ -202,9 +255,10 @@ class TestMaximize:
         rep = PHRepresentation([0.25, 0.5, 0.25], np.diag([-10.0, -1.0, -0.1]))
         start_beta, start_gamma = np.array([0.0]), np.array([0.0, 0.0])
         start_ll = pi_loglik(PIModel(rep, "weibull", start_beta, start_gamma), sample)
-        beta, gamma = maximize_regression(rep, "weibull", sample,
-                                          start_beta, start_gamma)
-        end_ll = pi_loglik(PIModel(rep, "weibull", beta, gamma), sample)
+        beta, gamma, end_ll = maximize_regression(rep, "weibull", sample,
+                                                  start_beta, start_gamma)
+        assert_allclose(end_ll, pi_loglik(PIModel(rep, "weibull", beta, gamma),
+                                          sample), rtol=1e-12)
         assert end_ll >= start_ll - 1e-6 * abs(start_ll)
         assert end_ll > start_ll + 1.0  # the data carry real signal
 
@@ -228,7 +282,7 @@ class TestMaximize:
             first_trial = objective(np.concatenate([beta, gamma + 1.0]))[0]
             out = maximize_regression(rep, family, data, beta, gamma, budget=budget)
             steps.append([-pi_loglik(PIModel(rep, family, b, g), data)
-                          for b, g in ((beta, gamma), out)] + [first_trial])
+                          for b, g in ((beta, gamma), out[:2])] + [first_trial])
             return out
 
         monkeypatch.setattr(regression, "maximize_regression", recording)
@@ -252,8 +306,10 @@ class TestMaximize:
         y = rng.uniform(0.1, 2.0, 20)
         sample = RegressionSample(y, np.ones(20, dtype=int), np.empty((20, 0)),
                                   np.ones(20))
-        beta, gamma = maximize_regression(rep, "identity", sample, [], None)
+        beta, gamma, ll = maximize_regression(rep, "identity", sample, [], None)
         assert beta.size == 0 and gamma is None
+        assert_allclose(ll, pi_loglik(PIModel(rep, "identity", beta), sample),
+                        rtol=1e-12)
 
 
 class TestFit:
