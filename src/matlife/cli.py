@@ -13,6 +13,7 @@ win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -169,6 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lee_carter)
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parsing leaves
+    it unchanged and returns a fresh namespace on every call."""
+    return build_parser()
 
 
 def _load_config(args) -> dict:
@@ -420,9 +428,8 @@ def _cmd_lee_carter(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -9,9 +9,18 @@ iteration.
 The E-step has two routes.  When the eigenvector matrix of ``T`` has
 condition number below :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the
 convolution integrals come in closed form from the cached eigen-factors,
-through divided differences of ``exp(lambda z)``.  Otherwise (near-defective
-``T``, such as a Coxian chain with nearly equal rates) each distinct ``z``
-costs one Van Loan block exponential.
+through divided differences of ``exp(lambda z)``.  A real spectrum keeps
+that route in real arithmetic.  When ``T`` has complex-conjugate eigenvalue
+pairs, only the terms that involve one member of a pair run in complex
+arithmetic: ``z`` and the row weights are real, so the terms of the other
+member are their conjugates.  Otherwise (near-defective ``T``, such as a
+Coxian chain with nearly equal rates) each distinct ``z`` costs one Van Loan
+block exponential.
+
+The denominators of the E-step are the likelihood factors of its
+representation, so the E-step also yields that representation's
+log-likelihood; :func:`fit_ph` takes its trace from there and evaluates
+:func:`loglik` only after the last M-step.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .exceptions import (
     InvalidInputError,
 )
 from .linalg import expm_and_conv
-from .phasetype import PHRepresentation, Spectrum, _censored_loglik
+from .phasetype import PHRepresentation, Spectrum, _censored_loglik, _folded_exp
 
 __all__ = [
     "SurvObservation",
@@ -214,6 +223,13 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     from the spectrum, O(p^3 + n p^2) in all; otherwise from one Van Loan
     block exponential per point (:func:`~matlife.linalg.expm_and_conv`).
     """
+    return _e_step(rep, data)[0]
+
+
+def _e_step(rep: PHRepresentation, data) -> tuple[SufficientStats, float]:
+    """:func:`e_step` and the log-likelihood of ``rep`` on ``data``, summed
+    from the E-step's own denominators (the density factor of observed rows,
+    the survival factor of censored ones)."""
     sample = CensoredSample.coerce(data)
     agg = sample.aggregate()
     p = rep.p
@@ -223,6 +239,7 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     v = np.zeros(p)
     njump = np.zeros((p, p))
     nabs = np.zeros(p)
+    loglik_value = 0.0
 
     for observed, vec in ((True, rep.exit_rates), (False, np.ones(p))):
         mask = agg.delta == 1 if observed else agg.delta == 0
@@ -231,9 +248,10 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
         z = agg.z[mask]
         w = agg.weight[mask]
         if spectrum is None:
-            terms = _stacked_terms(rep, vec, z, w, sample)
+            terms, denom = _stacked_terms(rep, vec, z, w, sample)
         else:
-            terms = _spectral_terms(rep, spectrum, vec, z, w, sample)
+            terms, denom = _spectral_terms(rep, spectrum, vec, z, w, sample)
+        loglik_value += float(w @ np.log(denom))
         b += terms.b
         v += terms.v
         njump += terms.njump
@@ -246,7 +264,7 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     total = sample.total_weight
     if abs(stats.b.sum() - total) > 1e-8 * max(1.0, total):
         raise DegenerateObservationError(-1, "initiation counts fail to add up")
-    return stats
+    return stats, loglik_value
 
 
 def _check_denominators(denom: np.ndarray, z: np.ndarray,
@@ -259,8 +277,10 @@ def _check_denominators(denom: np.ndarray, z: np.ndarray,
 
 
 def _stacked_terms(rep: PHRepresentation, vec: np.ndarray, z: np.ndarray,
-                   w: np.ndarray, sample: CensoredSample) -> SufficientStats:
-    """One group's E-step terms from stacked Van Loan block exponentials."""
+                   w: np.ndarray, sample: CensoredSample
+                   ) -> tuple[SufficientStats, np.ndarray]:
+    """One group's E-step terms, and its denominators ``pi expm(Tz) vec``,
+    from stacked Van Loan block exponentials."""
     pi, t = rep.pi, rep.T
     ez, conv = expm_and_conv(t, np.outer(vec, pi), z)
     front = pi @ ez                      # (m, p): pi expm(Tz)
@@ -271,39 +291,103 @@ def _stacked_terms(rep: PHRepresentation, vec: np.ndarray, z: np.ndarray,
     return SufficientStats(pi * (scale @ back),
                            scale @ np.einsum("mkk->mk", conv),
                            t * np.einsum("m,mlk->kl", scale, conv),
-                           rep.exit_rates * (scale @ front))
+                           rep.exit_rates * (scale @ front)), denom
 
 
 def _spectral_terms(rep: PHRepresentation, spectrum: Spectrum, vec: np.ndarray,
-                    z: np.ndarray, w: np.ndarray,
-                    sample: CensoredSample) -> SufficientStats:
-    """One group's E-step terms in the eigenbasis ``T = V diag(lam) V^-1``.
+                    z: np.ndarray, w: np.ndarray, sample: CensoredSample
+                    ) -> tuple[SufficientStats, np.ndarray]:
+    """One group's E-step terms, and its denominators ``pi expm(Tz) vec``,
+    in the eigenbasis ``T = V diag(lam) V^-1``.
 
     With ``r = pi V`` and ``c = V^-1 vec`` the convolution at ``z`` is
     ``V [(c r^T) * D(z)] V^-1`` for the divided differences
     ``D_ij(z) = (exp(lam_i z) - exp(lam_j z)) / (lam_i - lam_j)``, and
-    ``z exp(lam_i z)`` where ``lam_i == lam_j``.
+    ``z exp(lam_i z)`` where ``lam_i == lam_j``.  A spectrum with
+    conjugate pairs goes through :func:`_folded_sums`.
     """
     lam, vecs, vinv = spectrum.eigvals, spectrum.vecs, spectrum.vecs_inv
     r = spectrum.start
     c = vinv @ vec
-    e = np.exp(np.multiply.outer(z, lam))            # (m, p)
-    denom = np.maximum((e @ (r * c)).real, 0.0)      # pi expm(Tz) vec
-    _check_denominators(denom, z, sample)
-    scale = w / denom
-    se = scale @ e
-    conv = (vecs @ (np.outer(c, r) * _divided_differences(lam, z, e, scale))
-            @ vinv).real                              # sum of scale * conv
+    if spectrum.pairs.size:
+        denom, se, dd = _folded_sums(spectrum, r * c, z, w, sample)
+    else:
+        e = np.exp(np.multiply.outer(z, lam))            # (m, p)
+        denom = np.maximum((e @ (r * c)).real, 0.0)      # pi expm(Tz) vec
+        _check_denominators(denom, z, sample)
+        scale = w / denom
+        se = scale @ e
+        dd = _divided_differences(lam, z, e, scale)
+    conv = (vecs @ (np.outer(c, r) * dd) @ vinv).real    # sum of scale * conv
     return SufficientStats(rep.pi * (vecs @ (se * c)).real,
                            np.diagonal(conv),
                            rep.T * conv.T,
-                           rep.exit_rates * ((se * r) @ vinv).real)
+                           rep.exit_rates * ((se * r) @ vinv).real), denom
+
+
+def _folded_sums(spectrum: Spectrum, coef: np.ndarray, z: np.ndarray,
+                 w: np.ndarray, sample: CensoredSample
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Denominators ``exp(z lam) @ coef``, ``se = scale @ exp(z lam)`` and
+    the divided-difference sums of :func:`_divided_differences` for a
+    spectrum with conjugate pairs, taking ``exp`` of one member per pair.
+
+    Under the index map ``sigma`` that swaps the members of each pair,
+    ``exp(z lam_sigma(k)) = conj(exp(z lam_k))`` for real ``z``, so
+    ``se_sigma(k) = conj(se_k)`` and ``D_sigma(i)sigma(j) = conj(D_ij)``.
+    Each conjugate orbit of entries is summed once: real-real entries in
+    real arithmetic, the entry of a pair with itself as the real
+    ``sum scale Im(exp(lam z)) / Im(lam)``, the rest as in
+    :func:`_divided_differences`.
+    """
+    lam, real, pairs = spectrum.eigvals, spectrum.real, spectrum.pairs
+    p = lam.size
+    er, ec, denom = _folded_exp(spectrum, z, coef)      # (m, #real), (m, #pairs)
+    denom = np.maximum(denom, 0.0)
+    _check_denominators(denom, z, sample)
+    scale = w / denom
+    se = np.empty(p, dtype=complex)
+    se[real] = scale @ er
+    se[pairs] = scale @ ec
+    se[pairs + 1] = se[pairs].conj()
+
+    # per index: its eigenvalue (a float where real), its weighted column
+    # and whether that column is read conjugated (second member of a pair)
+    wr = scale[:, None] * er
+    wc = scale[:, None] * ec
+    roots = lam.tolist()
+    sigma = list(range(p))
+    column = [None] * p
+    for n, k in enumerate(real.tolist()):
+        roots[k] = roots[k].real
+        column[k] = (wr[:, n], False)
+    for n, k in enumerate(pairs.tolist()):
+        sigma[k], sigma[k + 1] = k + 1, k
+        column[k], column[k + 1] = (wc[:, n], False), (wc[:, n], True)
+
+    out = np.empty((p, p), dtype=complex)
+    for i in range(p):
+        for j in range(i, p):
+            if tuple(sorted((sigma[i], sigma[j]))) < (i, j):
+                continue                       # the conjugate of a summed entry
+            if j == sigma[i] != i:             # a pair with itself
+                val = column[i][0].imag.sum() / roots[i].imag
+            else:
+                hi, lo = (i, j) if roots[i].real > roots[j].real else (j, i)
+                col, conj = column[hi]
+                gap = roots[lo] - roots[hi]
+                x = z if gap == 0 else np.expm1(z * gap) / gap
+                val = np.vdot(col, x) if conj else col @ x
+            out[i, j] = out[j, i] = val
+            out[sigma[i], sigma[j]] = out[sigma[j], sigma[i]] = val.conjugate()
+    return denom, se, out
 
 
 def _divided_differences(lam: np.ndarray, z: np.ndarray, e: np.ndarray,
                          scale: np.ndarray) -> np.ndarray:
     """``sum_m scale_m D(z_m)`` for the symmetric matrices ``D`` of
-    :func:`_spectral_terms`, given ``e = exp(z lam)``.
+    :func:`_spectral_terms`, given ``e = exp(z lam)``, for a real spectrum
+    (:func:`_folded_sums` takes a spectrum with conjugate pairs).
 
     Each pair is written as ``exp(hi z) expm1((lo - hi) z) / (lo - hi)`` with
     ``hi`` the eigenvalue of larger real part, so no factor overflows and
@@ -384,7 +468,10 @@ def fit_ph(data, spec: StructureSpec, config: EMConfig | None = None,
 
     ``init`` takes precedence over ``rng`` (which seeds a random start).
     The trace records the log-likelihood at the start and after every
-    iteration; it is non-decreasing up to floating-point noise.
+    iteration; it is non-decreasing up to floating-point noise.  Each entry
+    but the last comes from the E-step on that iterate, which forms the
+    likelihood factors anyway; the last is one :func:`loglik` call on the
+    returned representation.
     """
     sample = CensoredSample.coerce(data).aggregate()
     config = config or EMConfig()
@@ -392,19 +479,28 @@ def fit_ph(data, spec: StructureSpec, config: EMConfig | None = None,
     if rep.p != spec.p:
         raise InvalidInputError("initial representation order disagrees with spec")
     total = sample.total_weight
-    trace = [loglik(rep, sample)]
+
+    def evaluate(rep, last):
+        # the E-step of the next iteration, or only the likelihood after the last
+        return (None, loglik(rep, sample)) if last else _e_step(rep, sample)
+
+    stats, value = evaluate(rep, config.max_iterations == 0)
+    trace = [value]
     dead_events = 0
     converged = False
     iterations = 0
-    for _ in range(config.max_iterations):
-        stats = e_step(rep, sample)
+    while iterations < config.max_iterations:
         n_dead = int(np.sum(stats.v <= DEAD_STATE_TOL * max(1.0, total)))
         rep = m_step(stats, total, spec, previous=rep)
         dead_events += n_dead
-        trace.append(loglik(rep, sample))
         iterations += 1
+        last = iterations == config.max_iterations
+        stats, value = evaluate(rep, last)
+        trace.append(value)
         rel = abs(trace[-1] - trace[-2]) / max(1e-10, abs(trace[-1]))
         if rel < config.tol:
             converged = True
+            if not last:
+                trace[-1] = loglik(rep, sample)
             break
     return FitResult(rep, np.asarray(trace), converged, iterations, dead_events)

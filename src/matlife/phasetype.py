@@ -78,7 +78,15 @@ class Spectrum(NamedTuple):
     ``start = pi V``, so that ``pi expm(Tz) = (start * exp(eigvals z)) @
     vecs_inv``; ``exit_coef`` and ``ones_coef`` are ``start * (V^-1 t)`` and
     ``start * (V^-1 1)``, the weights of ``exp(eigvals z)`` in
-    ``pi expm(Tz) t`` and ``pi expm(Tz) 1``."""
+    ``pi expm(Tz) t`` and ``pi expm(Tz) 1``.
+
+    ``real`` indexes the real eigenvalues and ``pairs`` the first member of
+    each complex-conjugate pair, whose second member sits at the next index
+    with the conjugate eigenvalue and eigenvector (see
+    :func:`_conjugate_pairs`).  For real, positive ``z`` the terms of a pair
+    are conjugate, so the kernels take ``exp`` of one member only and fold
+    the other in as a conjugate; with no pair (``eigvals`` real) they run in
+    real arithmetic throughout."""
 
     eigvals: np.ndarray
     vecs: np.ndarray
@@ -86,6 +94,35 @@ class Spectrum(NamedTuple):
     start: np.ndarray
     exit_coef: np.ndarray
     ones_coef: np.ndarray
+    real: np.ndarray
+    pairs: np.ndarray
+
+
+def _conjugate_pairs(eigvals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the real eigenvalues and of the first member of each
+    complex-conjugate pair of a real matrix.
+
+    LAPACK returns a pair side by side, positive imaginary part first, with
+    exactly conjugate eigenvalues and eigenvectors; the folded kernels rely
+    on that layout, so any other raises :class:`DomainError`.
+    """
+    p = eigvals.size
+    if not np.iscomplexobj(eigvals):
+        return np.arange(p), np.arange(0)
+    real, pairs = [], []
+    k = 0
+    while k < p:
+        if eigvals[k].imag == 0:
+            real.append(k)
+            k += 1
+            continue
+        if (eigvals[k].imag < 0 or k + 1 == p
+                or eigvals[k + 1] != eigvals[k].conjugate()
+                or not np.array_equal(vecs[:, k + 1], vecs[:, k].conj())):
+            raise DomainError("eigenvalues are not in adjacent conjugate pairs")
+        pairs.append(k)
+        k += 2
+    return np.asarray(real, dtype=np.intp), np.asarray(pairs, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -132,14 +169,16 @@ class PHRepresentation:
         vinv = np.linalg.inv(eigvecs)
         spectrum = Spectrum(eigvals, eigvecs, vinv, start,
                             start * (vinv @ self.exit_rates),
-                            start * vinv.sum(axis=1))
+                            start * vinv.sum(axis=1),
+                            *_conjugate_pairs(eigvals, eigvecs))
         for arr in spectrum:
             arr.setflags(write=False)
         return spectrum
 
 
 def ph_products(rep: PHRepresentation, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(pi expm(Tz) t, pi expm(Tz) 1)`` for a vector of nonnegative ``z``.
+    """``(pi expm(Tz) t, pi expm(Tz) 1)`` for a vector of nonnegative ``z``;
+    both are exactly zero at ``z = +inf``.
 
     The branch depends on cond(V) for the eigenvector matrix ``V`` of ``T``.
     Below :data:`~matlife.linalg.PRODUCTS_COND_LIMIT` (1e6) it is the spectral
@@ -157,13 +196,29 @@ def ph_products(rep: PHRepresentation, z: np.ndarray) -> tuple[np.ndarray, np.nd
 def _products(rep: PHRepresentation, z, slope: bool) -> tuple[np.ndarray, ...]:
     """:func:`ph_products`, followed when ``slope`` is set by the derivative
     ``pi T expm(Tz) t`` of the density factor in ``z``, all from one
-    exponential of ``z`` times the spectrum (or one stack of fronts)."""
+    exponential of ``z`` times the spectrum (or one stack of fronts).
+
+    At ``z = +inf`` the chain has absorbed and every product is exactly
+    zero.  On a spectrum with complex-conjugate pairs the sum is folded
+    (:func:`_folded_exp`): ``exp`` runs over the real eigenvalues in real
+    arithmetic and over one member of each pair."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.all(z >= 0):
         raise InvalidInputError("operational times must be nonnegative")
     if z.size == 0:
         return (np.zeros(0),) * (3 if slope else 2)
+    if z.max() == np.inf:
+        absorbed = z == np.inf
+        out = _products(rep, np.where(absorbed, 0.0, z), slope)
+        return tuple(np.where(absorbed, 0.0, x) for x in out)
     spectrum = rep._spectrum
+    if spectrum is not None and spectrum.pairs.size:
+        coef = [spectrum.exit_coef, spectrum.ones_coef]
+        if slope:
+            coef.append(spectrum.eigvals * spectrum.exit_coef)
+        out = _folded_exp(spectrum, z, np.stack(coef, axis=1))[2]
+        return ((np.maximum(out[:, 0], 0.0), np.maximum(out[:, 1], 0.0))
+                + ((out[:, 2].copy(),) if slope else ()))
     if spectrum is not None:
         ez = np.exp(np.multiply.outer(z, spectrum.eigvals))
         out = (np.maximum((ez @ spectrum.exit_coef).real, 0.0),
@@ -178,6 +233,21 @@ def _products(rep: PHRepresentation, z, slope: bool) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _folded_exp(spectrum: Spectrum, z: np.ndarray, coef: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``exp(z lam)`` over the real eigenvalues, in real dtype, and over the
+    first member of each conjugate pair, with ``Re(exp(z lam) @ coef)``
+    summed from those columns alone: each pair's weight folds to
+    ``coef_k + conj(coef_{k+1})``, which is algebraically the unfolded sum
+    for real ``z``.  ``coef`` holds one weight per eigenvalue along its
+    first axis."""
+    lam, real, pairs = spectrum.eigvals, spectrum.real, spectrum.pairs
+    er = np.exp(np.multiply.outer(z, lam[real].real))
+    ec = np.exp(np.multiply.outer(z, lam[pairs]))
+    return er, ec, (er @ coef[real].real
+                    + (ec @ (coef[pairs] + coef[pairs + 1].conj())).real)
+
+
 def _censored_loglik(rep: PHRepresentation, z, observed, weight,
                      log_jacobian=0.0, slope: bool = False):
     """Sum of ``weight * (log f(z) + log_jacobian)`` over ``observed`` rows
@@ -188,11 +258,9 @@ def _censored_loglik(rep: PHRepresentation, z, observed, weight,
     With ``slope`` the result is ``(value, d)``, ``d`` being each row's
     derivative in ``z`` of its log factor, ``f'/f`` or ``-f/S`` (``None``
     when the value is ``-inf``)."""
-    z = np.asarray(z, dtype=float)
-    overflow = z == np.inf
-    products = _products(rep, np.where(overflow, 0.0, z), slope)
+    products = _products(rep, z, slope)
     factor = np.where(observed, products[0], products[1])
-    if overflow.any() or not np.all(factor > 0):
+    if not np.all(factor > 0):
         return (-np.inf, None) if slope else -np.inf
     value = float(np.sum(weight * (np.log(factor)
                                    + np.where(observed, log_jacobian, 0.0))))
@@ -283,13 +351,7 @@ class IPHModel:
         ``c * lam(y)`` using the tail constant ``c`` and flagged.
         """
         y_arr = _ages(y)
-        z = np.atleast_1d(np.asarray(self.transform.cumulative(y_arr), dtype=float))
-        # points where the operational clock overflows lie far past survival
-        # underflow; evaluate them at zero and overwrite below
-        overflow = ~np.isfinite(z)
-        dens_ph, surv = ph_products(self.rep, np.where(overflow, 0.0, z))
-        surv = np.where(overflow, 0.0, surv)
-        dens_ph = np.where(overflow, 0.0, dens_ph)
+        dens_ph, surv = ph_products(self.rep, self.transform.cumulative(y_arr))
         lam = self.transform.intensity(y_arr)
         # the phase factor decays faster than any clock intensity grows, so
         # a zero phase factor forces zero density even when lam overflows

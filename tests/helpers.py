@@ -70,6 +70,62 @@ def random_representation(rng, p, kind="general"):
     return PHRepresentation(pi, random_sub_intensity(rng, p, kind))
 
 
+def rotating_representation(p, pairs, seed=0):
+    """General representation whose ``T`` has exactly ``pairs`` complex
+    eigenvalue pairs (``p >= 3 * pairs``), with cond(V) of order ten.
+
+    Each pair comes from a 3-state cycle of rate ``b`` (eigenvalues near
+    ``-e`` and ``-e - b (1 -+ i sqrt(3)) / 2`` for the block's exit rate
+    ``e``); the remaining states form a chain with exit rates one apart.
+    Every state feeds every later one weakly, and a weaker backward flow
+    keeps ``T`` dense without merging eigenvalues.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.zeros((p, p))
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    for k in range(pairs):
+        t[3 * k:3 * k + 3, 3 * k:3 * k + 3] = (0.8 + 0.7 * k) * cycle
+    upper = np.triu(np.ones((p, p), dtype=bool), 1)
+    t[upper] += rng.uniform(0.0, 0.04, upper.sum())
+    t[upper.T] += 0.01
+    exits = np.r_[np.repeat(0.2 + 1.0 * np.arange(pairs), 3),
+                  0.7 + 1.0 * np.arange(p - 3 * pairs)]
+    np.fill_diagonal(t, -(t.sum(axis=1) + exits))
+    rep = PHRepresentation(rng.dirichlet(np.ones(p)), t)
+    if np.count_nonzero(np.linalg.eigvals(rep.T).imag > 0) != pairs:
+        raise ValueError("generator lost or gained a complex pair")
+    return rep
+
+
+def unfolded_products(spectrum, z):
+    """Density, survival and slope factors as the unfolded spectral sums
+    ``Re(exp(z lam) @ coef)`` over every eigenvalue (reference route for
+    the folded kernel)."""
+    z = np.asarray(z, dtype=float)
+    ez = np.exp(np.multiply.outer(z, spectrum.eigvals))
+    return (np.maximum((ez @ spectrum.exit_coef).real, 0.0),
+            np.maximum((ez @ spectrum.ones_coef).real, 0.0),
+            (ez @ (spectrum.eigvals * spectrum.exit_coef)).real)
+
+
+def unfolded_divided_differences(lam, z, scale):
+    """``sum_m scale_m D(z_m)`` over every eigenvalue pair, in the dtype of
+    ``lam`` (reference route for the folded E-step sums)."""
+    e = np.exp(np.multiply.outer(z, lam))
+    weighted = scale[:, None] * e
+    p = lam.size
+    out = np.empty((p, p), dtype=e.dtype)
+    for i in range(p):
+        for j in range(i, p):
+            hi, lo = (i, j) if lam[i].real > lam[j].real else (j, i)
+            gap = lam[lo] - lam[hi]
+            if gap == 0:
+                out[i, j] = out[j, i] = weighted[:, hi] @ z
+            else:
+                out[i, j] = out[j, i] = weighted[:, hi] @ np.expm1(z * gap) / gap
+    return out
+
+
 def simulate_paths(rep, n_paths, rng, horizon=None):
     """Simulate chains, recording per-path statistics.
 

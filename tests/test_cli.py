@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import matlife
-from matlife.cli import main
+from matlife.cli import _shared_parser, build_parser, main
 from matlife.io import load_model, read_survival_csv, save_model
 from matlife.phasetype import IPHModel, PHRepresentation
 from matlife.inhomogeneity import make_transform
@@ -284,6 +284,63 @@ class TestLeeCarter:
         assert abs(index.sum()) < 1e-9
         # rates fall over time, so the index declines
         assert index[0] > index[-1]
+
+
+class TestSharedParser:
+    """``main`` parses with one parser built per process."""
+
+    def test_parser_is_built_once(self):
+        assert _shared_parser() is _shared_parser()
+
+    def test_namespaces_do_not_carry_over(self, tmp_path):
+        parser = _shared_parser()
+        a = parser.parse_args(["fit-pi", "d.csv", "--order", "3", "--family",
+                               "weibull", "--config", "a.json"])
+        b = parser.parse_args(["fit-ph", "d.csv"])
+        assert a is not b
+        assert (b.order, b.config, b.max_iter) == (None, None, None)
+        assert not hasattr(b, "family")
+        assert vars(a) == vars(build_parser().parse_args(
+            ["fit-pi", "d.csv", "--order", "3", "--family", "weibull",
+             "--config", "a.json"]))
+
+    def test_config_options_do_not_leak(self, tmp_path):
+        data = write_sample_csv(tmp_path / "s.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"order": 3, "structure": "coxian",
+                                   "max_iter": 4, "seed": 7}))
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        first, second, alone = (tmp_path / name for name in ("a", "b", "c"))
+        assert run("fit-ph", data, "--config", cfg, "--out-dir", first) == 0
+        assert run("fit-ph", data, "--config", empty, "--max-iter", 5,
+                   "--out-dir", second) == 0
+        assert load_model(first / "model.json").rep.p == 3
+        assert load_model(second / "model.json").rep.p == 2
+        # the second run matches the same run in a fresh process
+        src = str(pathlib.Path(matlife.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "matlife", "fit-ph", str(data), "--config",
+             str(empty), "--max-iter", "5", "--out-dir", str(alone)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0
+        for name in ("model.json", "trace.csv"):
+            assert (second / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_exit_codes_and_help_in_sequence(self, tmp_path, capsys):
+        data = write_sample_csv(tmp_path / "s.csv")
+        assert run("fit-ph", data, "--no-such-flag") == 2
+        assert run("fit-ph", data, "--max-iter", 3, "--out-dir", tmp_path) == 0
+        model_path = tmp_path / "model.json"
+        save_model(model_path, IPHModel(PHRepresentation([1.0], [[-1.0]])))
+        far = tmp_path / "far.csv"
+        far.write_text("time,status\n1.0,1\n2000.0,1\n")
+        assert run("diagnose", far, "--model", model_path,
+                   "--out-dir", tmp_path) == 3
+        capsys.readouterr()
+        for _ in range(2):
+            assert run("--help") == 0
+            assert capsys.readouterr().out == build_parser().format_help()
 
 
 def test_console_script_is_wired():

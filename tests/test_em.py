@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import matlife.em as em
 from matlife.em import (
     CensoredSample,
     EMConfig,
@@ -35,6 +36,8 @@ from helpers import (
     aggregate_by_unique,
     mc_conditional_stats,
     random_representation,
+    rotating_representation,
+    unfolded_divided_differences,
 )
 
 
@@ -280,6 +283,44 @@ class TestSpectralEStep:
         assert np.iscomplexobj(rep._spectrum.eigvals)
         assert_routes_agree(rep, ROUTE_SAMPLE)
 
+    @pytest.mark.parametrize("p,pairs", [(3, 1), (4, 1), (5, 1), (8, 1),
+                                         (6, 2), (7, 2), (8, 2)])
+    def test_folded_pairs_match_van_loan(self, p, pairs):
+        for seed in range(2):
+            rep = rotating_representation(p, pairs, seed)
+            assert rep._spectrum.pairs.size == pairs
+            assert_routes_agree(rep, ROUTE_SAMPLE)
+
+    @pytest.mark.parametrize("rep", [
+        rotating_representation(3, 1), rotating_representation(5, 1, seed=1),
+        rotating_representation(6, 2), rotating_representation(8, 2, seed=1),
+        random_representation(np.random.default_rng(2), 6),
+        random_representation(np.random.default_rng(3), 6),
+    ])
+    def test_folded_sums_match_unfolded(self, rep):
+        spectrum = rep._spectrum
+        assert spectrum.pairs.size
+        z, w = ROUTE_SAMPLE.z, ROUTE_SAMPLE.weight
+        for coef in (spectrum.exit_coef, spectrum.ones_coef):
+            denom, se, dd = em._folded_sums(spectrum, coef, z, w, ROUTE_SAMPLE)
+            e = np.exp(np.multiply.outer(z, spectrum.eigvals))
+            assert_allclose(denom, (e @ coef).real, rtol=1e-13, atol=0)
+            scale = w / denom
+            want = unfolded_divided_differences(spectrum.eigvals, z, scale)
+            assert_allclose(se, scale @ e, rtol=1e-13,
+                            atol=1e-13 * np.abs(scale @ e).max())
+            assert_allclose(dd, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    def test_exactly_repeated_complex_pairs(self):
+        # two identical rotations: each pair's eigenvalue repeats exactly
+        cycle = 0.8 * np.roll(np.eye(3), 1, axis=1) - 1.2 * np.eye(3)
+        t = np.block([[cycle, np.zeros((3, 3))], [np.zeros((3, 3)), cycle]])
+        rep = PHRepresentation(np.full(6, 1 / 6), t)
+        lam = rep._spectrum.eigvals
+        assert rep._spectrum.pairs.size == 2
+        assert lam[rep._spectrum.pairs[0]] == lam[rep._spectrum.pairs[1]]
+        assert_routes_agree(rep, ROUTE_SAMPLE)
+
     def test_exactly_repeated_rates(self):
         rep = PHRepresentation([0.3, 0.3, 0.4], np.diag([-1.0, -1.0, -2.0]))
         assert np.linalg.cond(rep._spectrum.vecs) == 1.0
@@ -450,6 +491,41 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit_ph(CensoredSample([1.0], [1], [1.0]), StructureSpec("general", 2),
                    init=rep)
+
+    @staticmethod
+    def censored_sample(seed, n=200):
+        rng = np.random.default_rng(seed)
+        y = IPHModel(rotating_representation(4, 1, seed)).sample(n, rng=rng)
+        c = rng.exponential(2.0 * np.mean(y), n)
+        return CensoredSample(np.minimum(y, c), (y <= c).astype(int), np.ones(n))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trace_is_the_loglik_of_each_iterate(self, seed):
+        data = self.censored_sample(seed)
+        spec = StructureSpec("general", 4)
+        start = rotating_representation(4, 1, seed + 10)
+        res = fit_ph(data, spec, EMConfig(max_iterations=8, tol=0.0), init=start)
+        iterates = [fit_ph(data, spec, EMConfig(max_iterations=k, tol=0.0),
+                           init=start).rep for k in range(9)]
+        assert all(rep._spectrum is not None for rep in iterates)
+        assert any(rep._spectrum.pairs.size for rep in iterates)
+        assert_allclose(res.loglik_trace, [loglik(rep, data) for rep in iterates],
+                        rtol=1e-12, atol=0)
+        assert res.loglik_trace[-1] == loglik(res.rep, data)
+
+    @pytest.mark.parametrize("max_iterations,tol", [(0, 0.0), (6, 0.0), (500, 1e-6)])
+    def test_one_loglik_pass_per_fit(self, monkeypatch, max_iterations, tol):
+        data = self.censored_sample(2)
+        calls = []
+        original = em.loglik
+        monkeypatch.setattr(em, "loglik", lambda rep, d: calls.append(rep) or original(rep, d))
+        res = fit_ph(data, StructureSpec("general", 3),
+                     EMConfig(max_iterations=max_iterations, tol=tol),
+                     rng=np.random.default_rng(5))
+        assert len(calls) == 1 and calls[0] is res.rep
+        assert res.loglik_trace.size == res.iterations + 1
+        assert res.loglik_trace[-1] == original(res.rep, data)
+        assert res.converged == (0 < res.iterations < max_iterations)
 
     def test_seeded_runs_identical(self):
         rng = np.random.default_rng(4)

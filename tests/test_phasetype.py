@@ -23,6 +23,7 @@ from matlife.phasetype import (
     CoxianSpec,
     IPHModel,
     PHRepresentation,
+    _conjugate_pairs,
     _products,
     coxian_density,
     ph_products,
@@ -31,7 +32,13 @@ from matlife.phasetype import (
     validate_sub_intensity,
 )
 
-from helpers import random_representation, random_sub_intensity, taylor_expm
+from helpers import (
+    random_representation,
+    random_sub_intensity,
+    rotating_representation,
+    taylor_expm,
+    unfolded_products,
+)
 
 
 def transforms_under_test():
@@ -490,3 +497,102 @@ class TestProducts:
         for bad in ([1.0, -0.5], [np.nan]):
             with pytest.raises(InvalidInputError):
                 ph_products(rep, bad)
+
+
+#: (order, complex pairs) of the rotating generators
+ROTATING = [(3, 1), (4, 1), (5, 1), (8, 1), (6, 2), (7, 2), (8, 2)]
+
+
+class TestFoldedProducts:
+    """The conjugate-pair folding of the spectral products kernel against
+    the unfolded sum and the Taylor oracle."""
+
+    @staticmethod
+    def grid(rep):
+        return np.r_[TestProducts.tail_grid(rep), [1e-3, 0.37, 7.9]]
+
+    @pytest.mark.parametrize("p,pairs", ROTATING)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rotating_chains(self, p, pairs, seed):
+        rep = rotating_representation(p, pairs, seed)
+        spectrum = rep._spectrum
+        assert spectrum.pairs.size == pairs
+        assert np.linalg.cond(spectrum.vecs) < 1e3
+        TestProducts.assert_matches_taylor(rep, self.grid(rep))
+        z = self.grid(rep)
+        for got, want in zip(_products(rep, z, slope=True),
+                             unfolded_products(spectrum, z)):
+            assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_general_chains(self, seed):
+        # about half of these draws have a complex pair
+        rep = random_representation(np.random.default_rng(400 + seed), 6)
+        z = self.grid(rep)
+        got = _products(rep, z, slope=True)
+        want = unfolded_products(rep._spectrum, z)
+        if rep._spectrum.pairs.size:
+            for g, w in zip(got, want):
+                assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("kind", ["general", "coxian"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_real_spectra_are_bitwise_unchanged(self, p, kind):
+        for seed in range(6):
+            rep = random_representation(np.random.default_rng(seed), p, kind)
+            if rep._spectrum.pairs.size:
+                continue
+            assert not np.iscomplexobj(rep._spectrum.eigvals)
+            z = self.grid(rep)
+            got = _products(rep, z, slope=True)
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(got, unfolded_products(rep._spectrum, z)))
+
+    @pytest.mark.parametrize("rep", [
+        rotating_representation(3, 1),
+        random_representation(np.random.default_rng(2), 3),
+        CoxianSpec([1.0, 1.0, 1.0], [0.5, 0.5]).to_representation(),
+    ], ids=["complex", "real", "stacked"])
+    def test_absorbed_at_infinity(self, rep):
+        # exact zeros without a floating-point warning (warnings are errors)
+        z = np.array([0.5, np.inf, 2.0])
+        got = _products(rep, z, slope=True)
+        finite = _products(rep, z[[0, 2]], slope=True)
+        for g, f in zip(got, finite):
+            assert g[1] == 0.0
+            assert np.array_equal(g[[0, 2]], f)
+        assert ph_products(rep, [np.inf]) == (0.0, 0.0)
+
+    def test_real_spectrum_has_no_pairs(self):
+        spectrum = CoxianSpec([1.0, 2.0, 3.0], [0.5, 0.5]).to_representation()._spectrum
+        assert not np.iscomplexobj(spectrum.eigvals)
+        assert np.array_equal(spectrum.real, np.arange(3))
+        assert spectrum.pairs.size == 0
+
+    def test_pair_layout_is_recorded(self):
+        rep = rotating_representation(7, 2)
+        spectrum = rep._spectrum
+        lam = spectrum.eigvals
+        assert np.all(lam[spectrum.pairs].imag > 0)
+        assert np.array_equal(lam[spectrum.pairs + 1], lam[spectrum.pairs].conj())
+        assert np.all(lam[spectrum.real].imag == 0)
+        assert np.array_equal(np.sort(np.r_[spectrum.real, spectrum.pairs,
+                                            spectrum.pairs + 1]), np.arange(7))
+
+    def test_pair_layout_is_validated(self):
+        lam, vecs = np.linalg.eig(rotating_representation(5, 1).T)
+        k = int(np.flatnonzero(lam.imag > 0)[0])
+        swapped = np.r_[np.arange(k), [k + 1, k], np.arange(k + 2, 5)]
+        with pytest.raises(DomainError):
+            _conjugate_pairs(lam[swapped], vecs[:, swapped])
+        apart = np.r_[[k], np.delete(np.arange(5), k)]
+        with pytest.raises(DomainError):
+            _conjugate_pairs(lam[apart], vecs[:, apart])
+        bent = vecs.copy()
+        bent[0, k + 1] += 1e-3
+        with pytest.raises(DomainError):
+            _conjugate_pairs(lam, bent)
+        real, pairs = _conjugate_pairs(lam, vecs)
+        assert pairs.tolist() == [k]
