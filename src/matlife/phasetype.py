@@ -83,7 +83,7 @@ class Spectrum(NamedTuple):
     ``real`` indexes the real eigenvalues and ``pairs`` the first member of
     each complex-conjugate pair, whose second member sits at the next index
     with the conjugate eigenvalue and eigenvector (see
-    :func:`_conjugate_pairs`).  For real, positive ``z`` the terms of a pair
+    :func:`_conjugate_pairs`).  For real ``z`` the terms of a pair
     are conjugate, so the kernels take ``exp`` of one member only and fold
     the other in as a conjugate; with no pair (``eigvals`` real) they run in
     real arithmetic throughout."""
@@ -207,25 +207,26 @@ def _products(rep: PHRepresentation, z, slope: bool) -> tuple[np.ndarray, ...]:
         raise InvalidInputError("operational times must be nonnegative")
     if z.size == 0:
         return (np.zeros(0),) * (3 if slope else 2)
-    if z.max() == np.inf:
-        absorbed = z == np.inf
-        out = _products(rep, np.where(absorbed, 0.0, z), slope)
-        return tuple(np.where(absorbed, 0.0, x) for x in out)
     spectrum = rep._spectrum
-    if spectrum is not None and spectrum.pairs.size:
-        coef = [spectrum.exit_coef, spectrum.ones_coef]
-        if slope:
-            coef.append(spectrum.eigvals * spectrum.exit_coef)
-        out = _folded_exp(spectrum, z, np.stack(coef, axis=1))[2]
-        return ((np.maximum(out[:, 0], 0.0), np.maximum(out[:, 1], 0.0))
-                + ((out[:, 2].copy(),) if slope else ()))
-    if spectrum is not None:
+    if spectrum is not None and not spectrum.pairs.size:
+        # every eigenvalue is real and negative, so exp is exactly 0 at +inf
         ez = np.exp(np.multiply.outer(z, spectrum.eigvals))
         out = (np.maximum((ez @ spectrum.exit_coef).real, 0.0),
                np.maximum((ez @ spectrum.ones_coef).real, 0.0))
         if slope:
             out += ((ez @ (spectrum.eigvals * spectrum.exit_coef)).real,)
         return out
+    if z.max() == np.inf:
+        absorbed = z == np.inf
+        out = _products(rep, np.where(absorbed, 0.0, z), slope)
+        return tuple(np.where(absorbed, 0.0, x) for x in out)
+    if spectrum is not None:
+        coef = [spectrum.exit_coef, spectrum.ones_coef]
+        if slope:
+            coef.append(spectrum.eigvals * spectrum.exit_coef)
+        out = _folded_exp(spectrum, z, np.stack(coef, axis=1))[2]
+        return ((np.maximum(out[:, 0], 0.0), np.maximum(out[:, 1], 0.0))
+                + ((out[:, 2].copy(),) if slope else ()))
     w = _stacked_fronts(rep, z)
     out = (w @ rep.exit_rates, w.sum(axis=1))
     if slope:

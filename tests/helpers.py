@@ -72,10 +72,10 @@ def random_representation(rng, p, kind="general"):
 
 def rotating_representation(p, pairs, seed=0):
     """General representation whose ``T`` has exactly ``pairs`` complex
-    eigenvalue pairs (``p >= 3 * pairs``), with cond(V) of order ten.
+    eigenvalue pairs (``p >= 3 * pairs``), with cond(V) near one.
 
     Each pair comes from a 3-state cycle of rate ``b`` (eigenvalues near
-    ``-e`` and ``-e - b (1 -+ i sqrt(3)) / 2`` for the block's exit rate
+    ``-e`` and ``-e - b (3 -+ i sqrt(3)) / 2`` for the block's exit rate
     ``e``); the remaining states form a chain with exit rates one apart.
     Every state feeds every later one weakly, and a weaker backward flow
     keeps ``T`` dense without merging eigenvalues.

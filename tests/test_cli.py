@@ -108,6 +108,22 @@ class TestExitCodes:
         assert "loglik=-inf" in out.out
         assert "numerical failure" in out.err
 
+    def test_clock_overflow_on_complex_spectrum_returns_three(self, tmp_path, capsys):
+        # the overflowed clock meets a T with complex eigenvalues; the
+        # products are exact zeros there, with no floating-point warning
+        t = [[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.5, 0.0, -2.0]]
+        model_path = tmp_path / "model.json"
+        save_model(model_path, PIModel(PHRepresentation([1.0, 0.0, 0.0], t),
+                                       "gompertz", beta=[0.0],
+                                       gamma=[np.log(10.0)]))
+        data = tmp_path / "data.csv"
+        data.write_text("time,status,x\n0.1,1,0.5\n80.0,1,1.0\n")
+        assert run("diagnose", data, "--model", model_path,
+                   "--out-dir", tmp_path) == 3
+        out = capsys.readouterr()
+        assert "loglik=-inf" in out.out
+        assert "numerical failure" in out.err
+
     def test_covariate_count_mismatch(self, tmp_path):
         model_path = tmp_path / "model.json"
         save_model(model_path, PIModel(PHRepresentation([1.0], [[-1.0]]),
