@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", help="rates table, or deaths table with --exposures")
     p.add_argument("--kind", choices=("rates", "deaths"), default=None)
     p.add_argument("--exposures", default=None,
-                   help="exposures table (required with --kind deaths)")
+                   help="exposures table (with --kind deaths only, which requires it)")
     p.add_argument("--column", default=None, help="value column (default Female)")
     p.add_argument("--year-from", type=int, default=None)
     p.add_argument("--year-to", type=int, default=None)
@@ -265,8 +265,10 @@ def _cmd_fit_pi(args) -> int:
 def _load_rates_table(args, resolve):
     kind = resolve("kind", "rates")
     column = resolve("column", "Female")
+    expo_path = resolve("exposures", None)
+    if kind != "deaths" and expo_path is not None:
+        raise InvalidInputError("--exposures requires --kind deaths")
     if kind == "deaths":
-        expo_path = resolve("exposures", None)
         if expo_path is None:
             raise InvalidInputError("--kind deaths requires --exposures")
         deaths = load_table(args.table, kind="deaths", column=column)

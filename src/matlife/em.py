@@ -19,8 +19,8 @@ block exponential.
 
 The denominators of the E-step are the likelihood factors of its
 representation, so the E-step also yields that representation's
-log-likelihood; :func:`fit_ph` takes its trace from there and evaluates
-:func:`loglik` only after the last M-step.
+log-likelihood (``SufficientStats.loglik``); :func:`fit_ph` takes its
+trace from there and evaluates :func:`loglik` only after the last M-step.
 """
 
 from __future__ import annotations
@@ -174,12 +174,15 @@ class EMConfig:
 
 
 class SufficientStats(NamedTuple):
-    """Expected initiation counts, sojourn times, jump counts, absorptions."""
+    """Expected initiation counts, sojourn times, jump counts, absorptions,
+    and the log-likelihood of the representation they were taken under
+    (NaN where not known)."""
 
     b: np.ndarray
     v: np.ndarray
     njump: np.ndarray
     nabs: np.ndarray
+    loglik: float = float("nan")
 
 
 def init_structure(spec: StructureSpec, rng=None) -> PHRepresentation:
@@ -222,14 +225,11 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     :func:`~matlife.phasetype.ph_products` uses) they come in closed form
     from the spectrum, O(p^3 + n p^2) in all; otherwise from one Van Loan
     block exponential per point (:func:`~matlife.linalg.expm_and_conv`).
-    """
-    return _e_step(rep, data)[0]
 
-
-def _e_step(rep: PHRepresentation, data) -> tuple[SufficientStats, float]:
-    """:func:`e_step` and the log-likelihood of ``rep`` on ``data``, summed
+    The ``loglik`` field is the log-likelihood of ``rep`` on ``data``, summed
     from the E-step's own denominators (the density factor of observed rows,
-    the survival factor of censored ones)."""
+    the survival factor of censored ones).
+    """
     sample = CensoredSample.coerce(data)
     agg = sample.aggregate()
     p = rep.p
@@ -260,11 +260,12 @@ def _e_step(rep: PHRepresentation, data) -> tuple[SufficientStats, float]:
 
     np.fill_diagonal(njump, 0.0)
     stats = SufficientStats(np.clip(b, 0, None), np.clip(v, 0, None),
-                            np.clip(njump, 0, None), np.clip(nabs, 0, None))
+                            np.clip(njump, 0, None), np.clip(nabs, 0, None),
+                            loglik_value)
     total = sample.total_weight
     if abs(stats.b.sum() - total) > 1e-8 * max(1.0, total):
         raise DegenerateObservationError(-1, "initiation counts fail to add up")
-    return stats, loglik_value
+    return stats
 
 
 def _check_denominators(denom: np.ndarray, z: np.ndarray,
@@ -482,7 +483,10 @@ def fit_ph(data, spec: StructureSpec, config: EMConfig | None = None,
 
     def evaluate(rep, last):
         # the E-step of the next iteration, or only the likelihood after the last
-        return (None, loglik(rep, sample)) if last else _e_step(rep, sample)
+        if last:
+            return None, loglik(rep, sample)
+        stats = e_step(rep, sample)
+        return stats, stats.loglik
 
     stats, value = evaluate(rep, config.max_iterations == 0)
     trace = [value]

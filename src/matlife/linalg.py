@@ -2,9 +2,10 @@
 
 Two operations cover everything the rest of the package needs: the matrix
 exponential, alone or of the Van Loan block that yields ``expm(Tz)`` and the
-E-step's convolution integral in one pass, and analytic functions of a matrix
-(inverse, fractional powers, the exponential integral, and Laplace transforms
-of the supported time transforms).  The E-step takes its convolutions in
+E-step's convolution integral in one pass, and the two analytic matrix
+functions behind :meth:`~matlife.phasetype.IPHModel.mean` and
+:meth:`~matlife.phasetype.IPHModel.green_matrix`, fractional powers and
+the exponential integral.  The E-step takes its convolutions in
 closed form from the eigen-factors of ``T`` and uses the Van Loan block
 (:func:`expm_and_conv`) only as its fallback, for representations whose
 eigenvector condition number reaches :data:`PRODUCTS_COND_LIMIT`.
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
-from scipy.special import exp1, gamma as _gamma
+from scipy.special import exp1
 
 from .exceptions import DomainError, InvalidInputError
 
@@ -81,67 +82,17 @@ def expm_and_conv(t: np.ndarray, b: np.ndarray, z: np.ndarray):
     return full[:, :p, :p], full[:, :p, p:]
 
 
-def _laplace_of_transform(family: str, param: float | None) -> Callable:
-    """Laplace transform of the time transform ``g`` for a named family.
-
-    Returns a callable usable on complex arrays with positive real part.
-    """
-    if family == "identity":
-        return lambda s: 1.0 / s**2
-    if family == "gompertz":
-        beta = float(param)
-        if beta <= 0:
-            raise InvalidInputError("gompertz rate parameter must be positive")
-        return lambda s: np.exp(s / beta) * exp1(s / beta) / (beta * s)
-    if family == "weibull":
-        theta = float(param)
-        if theta <= 0:
-            raise InvalidInputError("weibull shape parameter must be positive")
-        return lambda s: _gamma(1.0 + 1.0 / theta) / s ** (1.0 + 1.0 / theta)
-    raise InvalidInputError(f"unknown transform family {family!r}")
-
-
-_CUT_FUNCTIONS = {"exp1", "power", "laplace_g"}
-
-
-def _resolve_function(f, params: dict) -> tuple[Callable, bool]:
-    """Map a function id (or callable) to a complex-capable callable.
-
-    The boolean marks functions with a branch cut on the closed negative real
-    axis, which constrains the fallback contour.
-    """
-    if callable(f):
-        return f, bool(params.get("branch_cut", False))
-    if f == "inverse":
-        return lambda s: 1.0 / s, False
-    if f == "exp":
-        return np.exp, False
-    if f == "power":
-        alpha = float(params["alpha"])
-        return lambda s: s**alpha, True
-    if f == "exp1":
-        return exp1, True
-    if f == "laplace_g":
-        fn = _laplace_of_transform(params["family"], params.get("param"))
-        return fn, True
-    raise InvalidInputError(f"unknown matrix function id {f!r}")
-
-
-def _contour_value(a: np.ndarray, fn: Callable, eigvals: np.ndarray,
-                   branch_cut: bool) -> np.ndarray:
-    """Cauchy-integral evaluation on a circle enclosing the spectrum."""
+def _contour_value(a: np.ndarray, fn: Callable, eigvals: np.ndarray) -> np.ndarray:
+    """Cauchy-integral evaluation on a circle enclosing the spectrum and
+    clear of the branch cut (-inf, 0] of ``fn``."""
     center = eigvals.mean()
     radius = 1.1 * np.max(np.abs(eigvals - center)) + 1e-3 * (1.0 + abs(center))
-    if branch_cut:
-        # distance from the disk to the cut (-inf, 0]
-        if center.real <= 0:
-            cut_dist = abs(center.imag)
-        else:
-            cut_dist = abs(center)
-        if radius >= cut_dist:
-            raise DomainError(
-                "contour for a branch-cut function would cross the negative "
-                "real axis; spectrum too spread or too close to zero")
+    # distance from the disk's center to the cut
+    cut_dist = abs(center.imag) if center.real <= 0 else abs(center)
+    if radius >= cut_dist:
+        raise DomainError(
+            "contour for a branch-cut function would cross the negative "
+            "real axis; spectrum too spread or too close to zero")
     p = a.shape[0]
     angles = 2.0 * np.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES
     nodes = center + radius * np.exp(1j * angles)
@@ -152,21 +103,27 @@ def _contour_value(a: np.ndarray, fn: Callable, eigvals: np.ndarray,
     return acc * radius / CONTOUR_NODES
 
 
-def matrix_function(a: np.ndarray, f, **params) -> np.ndarray:
-    """Evaluate an analytic scalar function on a square matrix.
+def matrix_function(a: np.ndarray, f: str, **params) -> np.ndarray:
+    """Fractional power (``f="power"`` with ``alpha``) or exponential
+    integral (``f="exp1"``) of a square matrix.
 
-    ``f`` is one of the ids ``"inverse"``, ``"power"`` (with ``alpha``),
-    ``"exp"``, ``"exp1"``, ``"laplace_g"`` (with ``family`` and ``param``), or
-    a callable acting on complex arrays.  Diagonalizable input with a well
-    conditioned eigenbasis goes through the spectral formula; otherwise a
-    512-node contour quadrature around the spectrum is used.  Complex
-    intermediates are allowed; the imaginary part of the result must stay
-    below 1e-9 and is discarded.
+    Both are principal branches with their cut on (-inf, 0].  Diagonalizable
+    input with a well conditioned eigenbasis goes through the spectral
+    formula; otherwise a 512-node contour quadrature around the spectrum is
+    used, which raises :class:`DomainError` when the circle would meet the
+    cut.  Complex intermediates are allowed; the imaginary part of the
+    result must stay below 1e-9 and is discarded.
     """
     a = _check_square(a)
     if a.ndim != 2:
         raise InvalidInputError("matrix_function expects a single matrix")
-    fn, branch_cut = _resolve_function(f, params)
+    if f == "power":
+        alpha = float(params["alpha"])
+        fn = lambda s: s**alpha
+    elif f == "exp1":
+        fn = exp1
+    else:
+        raise InvalidInputError(f"unknown matrix function id {f!r}")
     eigvals, eigvecs = np.linalg.eig(a)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,14 +131,12 @@ def matrix_function(a: np.ndarray, f, **params) -> np.ndarray:
     if not np.all(np.isfinite(fvals.view(float))):
         raise DomainError("function is singular on the spectrum")
 
-    cond = np.linalg.cond(eigvecs)
-    if cond < EIG_COND_LIMIT:
+    if np.linalg.cond(eigvecs) < EIG_COND_LIMIT:
         out = eigvecs @ np.diag(fvals) @ np.linalg.inv(eigvecs)
     else:
-        out = _contour_value(a, fn, eigvals, branch_cut)
+        out = _contour_value(a, fn, eigvals)
 
-    imag_max = np.abs(out.imag).max() if np.iscomplexobj(out) else 0.0
-    scale = max(1.0, np.abs(out.real).max() if np.iscomplexobj(out) else np.abs(out).max())
-    if imag_max > 1e-9 * scale:
+    imag_max = np.abs(out.imag).max()
+    if imag_max > 1e-9 * max(1.0, np.abs(out.real).max()):
         raise DomainError(f"imaginary residue {imag_max:.2e} exceeds tolerance")
-    return out.real if np.iscomplexobj(out) else out
+    return out.real

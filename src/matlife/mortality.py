@@ -242,18 +242,22 @@ def combine_tables(deaths: LifeTable, exposures: LifeTable) -> LifeTable:
 
 
 def _aggregate_rates(table: LifeTable, year_from, year_to):
-    """Per-age rate over the selected years, exposure-weighted when present."""
+    """Per-age rate over the selected years, exposure-weighted when present.
+
+    Without counts it is the mean of the rates that are not NaN at each age,
+    and NaN where an age has none."""
     sub = table.select(year_from, year_to)
-    ages = np.unique(sub.age)
+    ages, group = np.unique(sub.age, return_inverse=True)
     have_counts = np.all(np.isfinite(sub.deaths)) and np.all(np.isfinite(sub.exposure))
-    m = np.empty(ages.size)
-    for i, a in enumerate(ages):
-        rows = sub.age == a
-        if have_counts:
-            e = sub.exposure[rows].sum()
-            m[i] = sub.deaths[rows].sum() / e if e > 0 else np.nan
-        else:
-            m[i] = np.nanmean(sub.mx[rows])
+    if have_counts:
+        num = np.bincount(group, sub.deaths, ages.size)
+        den = np.bincount(group, sub.exposure, ages.size)
+    else:
+        present = ~np.isnan(sub.mx)
+        num = np.bincount(group, np.where(present, sub.mx, 0.0), ages.size)
+        den = np.bincount(group, present, ages.size)
+    m = np.full(ages.size, np.nan)
+    np.divide(num, den, out=m, where=den > 0)
     return ages, m
 
 

@@ -470,8 +470,8 @@ class IPHModel:
         z = float(self.transform.cumulative(x))
         spectrum = self.rep._spectrum
         if spectrum is not None:
-            w = np.maximum(((spectrum.start * np.exp(spectrum.eigvals * z))
-                            @ spectrum.vecs_inv).real, 0.0)
+            coef = spectrum.start[:, None] * spectrum.vecs_inv
+            w = np.maximum(_folded_exp(spectrum, np.asarray([z]), coef)[2][0], 0.0)
         else:
             w = _stacked_fronts(self.rep, np.asarray([z]))[0]
         total = w.sum()

@@ -51,6 +51,24 @@ def aggregate_by_unique(sample):
     return uniq[:, 0], uniq[:, 1].astype(np.int8), weight
 
 
+def aggregate_rates_by_age(table, year_from, year_to):
+    """Per-age rate over the selected years by one boolean mask per age
+    (reference route): summed deaths over summed exposure when the table
+    carries counts, else ``np.nanmean`` of the rates."""
+    sub = table.select(year_from, year_to)
+    ages = np.unique(sub.age)
+    have_counts = np.all(np.isfinite(sub.deaths)) and np.all(np.isfinite(sub.exposure))
+    m = np.empty(ages.size)
+    for i, a in enumerate(ages):
+        rows = sub.age == a
+        if have_counts:
+            e = sub.exposure[rows].sum()
+            m[i] = sub.deaths[rows].sum() / e if e > 0 else np.nan
+        else:
+            m[i] = np.nanmean(sub.mx[rows])
+    return ages, m
+
+
 def random_sub_intensity(rng, p, kind="general"):
     """Random valid sub-intensity with the requested zero pattern."""
     t = np.zeros((p, p))

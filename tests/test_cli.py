@@ -79,6 +79,24 @@ class TestExitCodes:
                               lambda a, y: 0.01)
         assert run("fit-mortality", t, "--kind", "deaths") == 2
 
+    @pytest.mark.parametrize("command", ["fit-mortality", "lee-carter"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_exposures_need_deaths_kind(self, tmp_path, capsys, command, source):
+        # without --kind deaths the table would be read as rates and the
+        # exposures ignored
+        t = write_rates_table(tmp_path / "t.txt", range(50, 55), [2000, 2001],
+                              lambda a, y: 0.01)
+        e = write_rates_table(tmp_path / "e.txt", range(50, 55), [2000, 2001],
+                              lambda a, y: 1000.0)
+        if source == "flag":
+            extra = ["--exposures", e]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"exposures": str(e)}))
+            extra = ["--config", cfg]
+        assert run(command, t, *extra, "--out-dir", tmp_path / "out") == 2
+        assert "--exposures requires --kind deaths" in capsys.readouterr().err
+
     def test_simulate_needs_exactly_one_source(self, tmp_path):
         assert run("simulate", "--out-dir", tmp_path) == 2
 

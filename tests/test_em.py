@@ -429,6 +429,18 @@ class TestLoglik:
         rep = PHRepresentation([1.0], [[-1.0]])
         assert loglik(rep, CensoredSample([800.0], [1], [1.0])) == -np.inf
 
+    @pytest.mark.parametrize("rep,route", [
+        (random_representation(np.random.default_rng(13), 3), "real"),
+        (rotating_representation(5, 1), "folded"),
+        (near_equal_chain(1e-4), "van_loan"),
+    ])
+    def test_e_step_carries_the_loglik(self, rep, route):
+        spectrum = rep._spectrum
+        assert route == ("van_loan" if spectrum is None
+                         else "folded" if spectrum.pairs.size else "real")
+        assert_allclose(e_step(rep, ROUTE_SAMPLE).loglik, loglik(rep, ROUTE_SAMPLE),
+                        rtol=1e-12, atol=0)
+
 
 class TestInit:
     @pytest.mark.parametrize("kind", StructureSpec.KINDS)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
+from scipy.linalg import fractional_matrix_power
 
 from matlife.exceptions import DomainError, InvalidInputError
 from matlife.linalg import expm_and_conv, matrix_function, mexp
@@ -88,7 +89,8 @@ class TestMatrixFunction:
     def test_inverse_matches_solver(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(4, 4)) + 5.0 * np.eye(4)
-        assert_allclose(matrix_function(a, "inverse"), np.linalg.inv(a), rtol=1e-9)
+        assert_allclose(matrix_function(a, "power", alpha=-1.0),
+                        np.linalg.inv(a), rtol=1e-9)
 
     def test_square_root_squares_back(self):
         rng = np.random.default_rng(9)
@@ -96,10 +98,15 @@ class TestMatrixFunction:
         root = matrix_function(-t, "power", alpha=0.5)
         assert_allclose(root @ root, -t, rtol=1e-9)
 
-    def test_exp_matches_mexp(self):
+    def test_exp1_matches_mexp_quadrature(self):
+        # E1(A) = integral_1^inf expm(-A u) / u du for a spectrum in the
+        # right half-plane
         rng = np.random.default_rng(13)
-        a = rng.normal(size=(3, 3))
-        assert_allclose(matrix_function(a, "exp"), mexp(a), rtol=1e-9, atol=1e-12)
+        a = -random_sub_intensity(rng, 3)
+        expected, err = quad_vec(lambda u: mexp(-a * u) / u, 1.0, np.inf,
+                                 epsabs=1e-14, epsrel=1e-12)
+        assert err < 1e-10
+        assert_allclose(matrix_function(a, "exp1"), expected, rtol=1e-9, atol=1e-12)
 
     def test_exponential_integral_scalar_value(self):
         # reference: direct quadrature of integral_1^inf exp(-u)/u du
@@ -109,40 +116,29 @@ class TestMatrixFunction:
         assert_allclose(got[0, 0], expected, rtol=1e-8)
         assert_allclose(expected, 0.2193839, rtol=1e-6)
 
-    def test_laplace_transform_gompertz_vs_quadrature(self):
-        # L(s) of g(u) = log(beta u + 1)/beta evaluated entrywise
-        beta, s = 0.7, 1.3
-        expected, err = quad(lambda u: np.exp(-s * u) * np.log(beta * u + 1.0) / beta,
-                             0.0, np.inf, limit=200)
-        assert err < 1e-10
-        got = matrix_function(np.array([[s]]), "laplace_g", family="gompertz", param=beta)
-        assert_allclose(got[0, 0], expected, rtol=1e-8)
-
-    def test_laplace_transform_identity_and_weibull(self):
-        s = 2.0
-        got = matrix_function(np.array([[s]]), "laplace_g", family="identity")
-        assert_allclose(got[0, 0], 1.0 / s**2, rtol=1e-12)
-        theta = 1.5
-        expected, _ = quad(lambda u: np.exp(-s * u) * u ** (1.0 / theta), 0.0, np.inf)
-        got = matrix_function(np.array([[s]]), "laplace_g", family="weibull", param=theta)
-        assert_allclose(got[0, 0], expected, rtol=1e-8)
-
     def test_complex_pair_real_result(self):
-        # rotation-like spectrum: exp of the matrix must come out real
+        # rotation-like spectrum: the square root must come out real
         a = np.array([[-1.0, 2.0], [-2.0, -1.0]])
-        assert_allclose(matrix_function(a, "exp"), mexp(a), rtol=1e-9, atol=1e-12)
+        root = matrix_function(a, "power", alpha=0.5)
+        assert not np.iscomplexobj(root)
+        assert_allclose(root @ root, a, rtol=1e-9, atol=1e-12)
 
     def test_near_defective_falls_back_to_contour(self):
         # Jordan-like block has an ill-conditioned eigenbasis; the contour
-        # route should still deliver a usable exponential
-        a = np.array([[-1.0, 1.0], [0.0, -1.0 + 1e-12]])
+        # route should still deliver a usable square root
+        a = -np.array([[-1.0, 1.0], [0.0, -1.0 + 1e-12]])
         assert np.linalg.cond(np.linalg.eig(a)[1]) > 1e8
-        assert_allclose(matrix_function(a, "exp"), mexp(a), rtol=1e-6, atol=1e-9)
+        assert_allclose(matrix_function(a, "power", alpha=0.5),
+                        fractional_matrix_power(a, 0.5), rtol=1e-6, atol=1e-9)
 
     def test_singular_inverse_raises(self):
+        singular = np.diag([1.0, 0.0])
         with pytest.raises(DomainError):
-            matrix_function(np.diag([1.0, 0.0]), "inverse")
+            matrix_function(singular, "power", alpha=-1.0)
+        with pytest.raises(DomainError):
+            matrix_function(singular, "exp1")
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(InvalidInputError):
-            matrix_function(np.eye(2), "not-a-function")
+        for f in ("not-a-function", "inverse", "exp", "laplace_g"):
+            with pytest.raises(InvalidInputError):
+                matrix_function(np.eye(2), f)

@@ -10,6 +10,7 @@ from matlife.mortality import (
     DirectFitConfig,
     LifeTable,
     MortalityCurve,
+    _aggregate_rates,
     combine_tables,
     curve_from_table,
     direct_fit,
@@ -21,6 +22,8 @@ from matlife.mortality import (
 )
 from matlife.phasetype import IPHModel, PHRepresentation
 from matlife.regression import PIModel
+
+from helpers import aggregate_rates_by_age
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -208,6 +211,36 @@ class TestCurve:
         t = LifeTable([2000], [60], [np.nan], [np.nan], [0.0])
         with pytest.raises(DomainError):
             curve_from_table(t)
+
+    @pytest.mark.parametrize("counts", [False, True])
+    @pytest.mark.parametrize("years,rtol", [((2000, 2005), 0.0),
+                                            ((1950, 2005), 56 * np.finfo(float).eps)])
+    def test_grouped_aggregation_matches_per_age_loop(self, counts, years, rtol):
+        # bitwise while each age sums fewer than 8 years, where numpy's
+        # pairwise summation is still a plain loop; past that the two orders
+        # of summation differ by at most about one rounding per summed year
+        if counts:
+            t = combine_tables(
+                load_table(DATA / "synthetic_Deaths_1x1.txt", kind="deaths"),
+                load_table(DATA / "synthetic_Exposures_1x1.txt", kind="exposures"))
+        else:
+            t = load_table(DATA / "synthetic_Mx_1x1.txt")
+        ages, m = _aggregate_rates(t, *years)
+        want_ages, want = aggregate_rates_by_age(t, *years)
+        assert np.array_equal(ages, want_ages)
+        if rtol == 0.0:
+            assert np.array_equal(m, want)
+        else:
+            np.testing.assert_allclose(m, want, rtol=rtol, atol=0)
+
+    def test_age_without_rates_is_dropped_with_count(self):
+        t = LifeTable([2000, 2001, 2000, 2001], [60, 60, 61, 61],
+                      [np.nan] * 4, [np.nan] * 4, [0.03, 0.05, np.nan, np.nan])
+        c = curve_from_table(t)
+        assert c.dropped == 1 and list(c.ages) == [60]
+        np.testing.assert_allclose(c.log_mortality, [np.log(0.04)])
+        s = implied_sample(t)
+        assert s.dropped == 1 and list(s.age) == [60]
 
     def test_year_range_restriction(self):
         t = small_table()

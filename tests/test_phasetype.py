@@ -312,6 +312,15 @@ class TestResidualLifetime:
         u = np.array([0.05, 0.3, 0.9])
         assert_allclose(cond.hazard(u), model.hazard(x + u), rtol=1e-10)
 
+    @pytest.mark.parametrize("p,pairs", [(5, 1), (8, 2)])
+    def test_start_on_complex_spectrum_matches_taylor(self, p, pairs):
+        rep = rotating_representation(p, pairs)
+        model = IPHModel(rep, GompertzTransform(1.1))
+        x = 0.8
+        w = rep.pi @ taylor_expm(rep.T * float(model.transform.cumulative(x)))
+        assert_allclose(model.residual_lifetime(x).rep.pi, w / w.sum(),
+                        rtol=1e-12)
+
     def test_zero_age_is_unchanged(self):
         model = IPHModel(PHRepresentation([0.5, 0.5], np.diag([-1.0, -2.0])))
         cond = model.residual_lifetime(0.0)
