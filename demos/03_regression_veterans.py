@@ -31,7 +31,8 @@ DATA = pathlib.Path(__file__).parent.parent / "tests" / "data"
 
 # Time in hundreds of days; treatment arm, Karnofsky score and months of
 # prior therapy rescaled to comparable magnitudes.
-rows = list(csv.DictReader(open(DATA / "veteran.csv")))
+with open(DATA / "veteran.csv", newline="") as fh:
+    rows = list(csv.DictReader(fh))
 y = np.array([float(r["time"]) for r in rows]) / 100.0
 delta = np.array([int(r["status"]) for r in rows])
 x = np.column_stack([

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .em import CensoredSample, StructureSpec
 from .exceptions import DomainError, InvalidInputError
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: two-sided 95% normal quantile used for all confidence bounds
-Z95 = float(norm.ppf(0.975))
+Z95 = float(ndtri(0.975))
 
 
 @dataclass(frozen=True)

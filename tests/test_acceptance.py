@@ -189,7 +189,8 @@ def test_criterion_06_study_diagnostics_separate_models():
 
 
 def _veterans_sample() -> RegressionSample:
-    rows = list(csv.DictReader(open(DATA / "veteran.csv")))
+    with open(DATA / "veteran.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     y = np.array([float(r["time"]) for r in rows]) / 100.0
     delta = np.array([int(r["status"]) for r in rows])
     x = np.column_stack([

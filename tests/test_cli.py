@@ -395,3 +395,33 @@ def test_package_runs_as_module():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "fit-mortality" in proc.stdout
+
+
+_COLD_START_CHILD = """
+import sys
+import matlife.cli as cli
+out, data = sys.argv[1], sys.argv[2]
+codes = [
+    cli.main(["simulate", "--study", "--seed", "11", "--n-per-group", "60",
+              "--out-dir", out + "/study"]),
+    cli.main(["fit-ph", data, "--order", "2", "--max-iter", "5",
+              "--out-dir", out + "/fit"]),
+    cli.main(["diagnose", data, "--model", out + "/fit/model.json",
+              "--out-dir", out + "/diag"]),
+]
+loaded = [m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]
+print(codes, loaded)
+sys.exit(codes != [0, 0, 0] or bool(loaded))
+"""
+
+
+def test_cli_workflow_leaves_stats_and_optimize_unloaded(tmp_path):
+    # only fit-mortality needs scipy.optimize, and nothing needs scipy.stats
+    data = write_sample_csv(tmp_path / "s.csv")
+    src = str(pathlib.Path(matlife.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START_CHILD, str(tmp_path), str(data)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -4,8 +4,10 @@ information criteria and the simulation study harness."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import norm
 
 from matlife.diagnostics import (
+    Z95,
     CoxSnellResiduals,
     StepFunction,
     band_coverage,
@@ -219,6 +221,10 @@ class TestBandTools:
     def test_coverage_needs_bounds(self):
         with pytest.raises(InvalidInputError):
             band_coverage(StepFunction([1.0], [0.5]), lambda t: t)
+
+    def test_band_quantile_is_the_normal_quantile(self):
+        # every confidence band scales by this constant; it must not drift
+        assert Z95 == float(norm.ppf(0.975))
 
 
 class TestStudy:
