@@ -411,7 +411,6 @@ codes = [
 ]
 loaded = [m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]
 print(codes, loaded)
-sys.exit(codes != [0, 0, 0] or bool(loaded))
 """
 
 
@@ -423,5 +422,5 @@ def test_cli_workflow_leaves_stats_and_optimize_unloaded(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START_CHILD, str(tmp_path), str(data)],
         capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
