@@ -339,13 +339,15 @@ def _cmd_simulate(args) -> int:
         n = int(resolve("n", 1000))
         if n < 1:
             raise InvalidInputError("sample size must be positive")
+        censor_mean = resolve("censor_mean", None)
+        if censor_mean is not None and not float(censor_mean) > 0:
+            raise InvalidInputError("--censor-mean must be positive")
         if isinstance(model, PIModel):
             raise InvalidInputError(
                 "simulate draws from lifetime models; supply covariates by "
                 "building conditional models instead")
         y = model.sample(n, rng)
         delta = np.ones(n, dtype=int)
-        censor_mean = resolve("censor_mean", None)
         if censor_mean is not None:
             c = rng.exponential(float(censor_mean), size=n)
             delta = (y <= c).astype(int)

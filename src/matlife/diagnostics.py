@@ -348,7 +348,7 @@ def simulate_study(seed, n_per_group: int = 500) -> StudyData:
     sample = RegressionSample(y, delta, x, np.ones(y.size))
     frac = 1.0 - float(delta.mean())
     if not 0.05 <= frac <= 0.15:
-        raise RuntimeError(f"censoring fraction {frac:.3f} outside [0.05, 0.15]")
+        raise DomainError(f"censoring fraction {frac:.3f} outside [0.05, 0.15]")
     return StudyData(sample, models, frac)
 
 

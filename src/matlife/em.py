@@ -9,13 +9,14 @@ iteration.
 The E-step has two routes.  When the eigenvector matrix of ``T`` has
 condition number below :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the
 convolution integrals come in closed form from the cached eigen-factors,
-through divided differences of ``exp(lambda z)``.  A real spectrum keeps
-that route in real arithmetic.  When ``T`` has complex-conjugate eigenvalue
-pairs, only the terms that involve one member of a pair run in complex
-arithmetic: ``z`` and the row weights are real, so the terms of the other
-member are their conjugates.  Otherwise (near-defective ``T``, such as a
-Coxian chain with nearly equal rates) each distinct ``z`` costs one Van Loan
-block exponential.
+through divided differences of ``exp(lambda z)``.  That route is one folded
+kernel for every spectrum: ``z`` and the row weights are real, so the terms
+of the second member of a complex-conjugate eigenvalue pair are the
+conjugates of the first member's, and only the terms that involve a pair
+run in complex arithmetic; a real spectrum runs in real arithmetic
+throughout.  Otherwise (near-defective ``T``, such as a Coxian chain with
+nearly equal rates) each distinct ``z`` costs one Van Loan block
+exponential.
 
 The denominators of the E-step are the likelihood factors of its
 representation, so the E-step also yields that representation's
@@ -26,6 +27,7 @@ trace from there and evaluates :func:`loglik` only after the last M-step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -304,21 +306,14 @@ def _spectral_terms(rep: PHRepresentation, spectrum: Spectrum, vec: np.ndarray,
     With ``r = pi V`` and ``c = V^-1 vec`` the convolution at ``z`` is
     ``V [(c r^T) * D(z)] V^-1`` for the divided differences
     ``D_ij(z) = (exp(lam_i z) - exp(lam_j z)) / (lam_i - lam_j)``, and
-    ``z exp(lam_i z)`` where ``lam_i == lam_j``.  A spectrum with
-    conjugate pairs goes through :func:`_folded_sums`.
+    ``z exp(lam_i z)`` where ``lam_i == lam_j``.  Their sums over the data
+    come from :func:`_folded_sums`, for a real spectrum and one with
+    conjugate pairs alike.
     """
-    lam, vecs, vinv = spectrum.eigvals, spectrum.vecs, spectrum.vecs_inv
+    vecs, vinv = spectrum.vecs, spectrum.vecs_inv
     r = spectrum.start
     c = vinv @ vec
-    if spectrum.pairs.size:
-        denom, se, dd = _folded_sums(spectrum, r * c, z, w, sample)
-    else:
-        e = np.exp(np.multiply.outer(z, lam))            # (m, p)
-        denom = np.maximum((e @ (r * c)).real, 0.0)      # pi expm(Tz) vec
-        _check_denominators(denom, z, sample)
-        scale = w / denom
-        se = scale @ e
-        dd = _divided_differences(lam, z, e, scale)
+    denom, se, dd = _folded_sums(spectrum, r * c, z, w, sample)
     conv = (vecs @ (np.outer(c, r) * dd) @ vinv).real    # sum of scale * conv
     return SufficientStats(rep.pi * (vecs @ (se * c)).real,
                            np.diagonal(conv),
@@ -330,84 +325,78 @@ def _folded_sums(spectrum: Spectrum, coef: np.ndarray, z: np.ndarray,
                  w: np.ndarray, sample: CensoredSample
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Denominators ``exp(z lam) @ coef``, ``se = scale @ exp(z lam)`` and
-    the divided-difference sums of :func:`_divided_differences` for a
-    spectrum with conjugate pairs, taking ``exp`` of one member per pair.
+    ``sum_m scale_m D(z_m)`` for the symmetric matrices ``D`` of
+    :func:`_spectral_terms`, with ``scale = w / denom``, taking ``exp`` of
+    one member per conjugate pair; with no pair all three are real arrays.
+
+    Each entry is written as ``exp(hi z) expm1((lo - hi) z) / (lo - hi)``
+    with ``hi`` the eigenvalue of larger real part, so no factor overflows
+    and near-equal eigenvalues lose no digits to cancellation; the weighted
+    ``exp(hi z)`` column is dotted with ``expm1`` before the division by the
+    gap.  The entries are summed one at a time: no temporary grows past the
+    size of ``exp(z lam)``, so the cost per call does not depend on how the
+    allocator returns large blocks.
 
     Under the index map ``sigma`` that swaps the members of each pair,
     ``exp(z lam_sigma(k)) = conj(exp(z lam_k))`` for real ``z``, so
     ``se_sigma(k) = conj(se_k)`` and ``D_sigma(i)sigma(j) = conj(D_ij)``.
-    Each conjugate orbit of entries is summed once: real-real entries in
-    real arithmetic, the entry of a pair with itself as the real
-    ``sum scale Im(exp(lam z)) / Im(lam)``, the rest as in
-    :func:`_divided_differences`.
+    Each conjugate orbit of entries is summed once (:func:`_orbits`):
+    real-real entries in real arithmetic, the entry of a pair with itself as
+    the real ``sum scale Im(exp(lam z)) / Im(lam)``.
     """
     lam, real, pairs = spectrum.eigvals, spectrum.real, spectrum.pairs
-    p = lam.size
-    er, ec, denom = _folded_exp(spectrum, z, coef)      # (m, #real), (m, #pairs)
+    er, ec, (denom,) = _folded_exp(spectrum, z, coef)   # (m, #real), (m, #pairs)
     denom = np.maximum(denom, 0.0)
     _check_denominators(denom, z, sample)
     scale = w / denom
-    se = np.empty(p, dtype=complex)
+    se = np.empty(lam.size, dtype=lam.dtype)
     se[real] = scale @ er
-    se[pairs] = scale @ ec
-    se[pairs + 1] = se[pairs].conj()
-
-    # per index: its eigenvalue (a float where real), its weighted column
-    # and whether that column is read conjugated (second member of a pair)
-    wr = scale[:, None] * er
-    wc = scale[:, None] * ec
-    roots = lam.tolist()
-    sigma = list(range(p))
-    column = [None] * p
-    for n, k in enumerate(real.tolist()):
-        roots[k] = roots[k].real
-        column[k] = (wr[:, n], False)
-    for n, k in enumerate(pairs.tolist()):
-        sigma[k], sigma[k + 1] = k + 1, k
-        column[k], column[k + 1] = (wc[:, n], False), (wc[:, n], True)
-
-    out = np.empty((p, p), dtype=complex)
-    for i in range(p):
-        for j in range(i, p):
-            if tuple(sorted((sigma[i], sigma[j]))) < (i, j):
-                continue                       # the conjugate of a summed entry
-            if j == sigma[i] != i:             # a pair with itself
-                val = column[i][0].imag.sum() / roots[i].imag
-            else:
-                hi, lo = (i, j) if roots[i].real > roots[j].real else (j, i)
-                col, conj = column[hi]
-                gap = roots[lo] - roots[hi]
-                x = z if gap == 0 else np.expm1(z * gap) / gap
-                val = np.vdot(col, x) if conj else col @ x
-            out[i, j] = out[j, i] = val
-            out[sigma[i], sigma[j]] = out[sigma[j], sigma[i]] = val.conjugate()
+    columns = list((scale[:, None] * er).T)
+    out = np.empty((lam.size, lam.size), dtype=lam.dtype)
+    if pairs.size:
+        se[pairs] = scale @ ec
+        se[pairs + 1] = se[pairs].conj()
+        wc = scale[:, None] * ec
+        columns += [*wc.T, *wc.conj().T]
+        # each pair with itself
+        out[pairs, pairs + 1] = out[pairs + 1, pairs] = (wc.imag.sum(axis=0)
+                                                         / lam[pairs].imag)
+    roots = [x.real if x.imag == 0 else x for x in lam.tolist()]
+    for i, j, si, sj, ci, cj in _orbits(lam.size, tuple(pairs.tolist())):
+        hi, lo, col = (i, j, ci) if roots[i].real > roots[j].real else (j, i, cj)
+        gap = roots[lo] - roots[hi]
+        if gap == 0:
+            val = columns[col] @ z
+        else:
+            val = columns[col] @ np.expm1(z * gap) / gap
+        out[i, j] = out[j, i] = val
+        if (si, sj) != (i, j):
+            out[si, sj] = out[sj, si] = val.conjugate()
     return denom, se, out
 
 
-def _divided_differences(lam: np.ndarray, z: np.ndarray, e: np.ndarray,
-                         scale: np.ndarray) -> np.ndarray:
-    """``sum_m scale_m D(z_m)`` for the symmetric matrices ``D`` of
-    :func:`_spectral_terms`, given ``e = exp(z lam)``, for a real spectrum
-    (:func:`_folded_sums` takes a spectrum with conjugate pairs).
-
-    Each pair is written as ``exp(hi z) expm1((lo - hi) z) / (lo - hi)`` with
-    ``hi`` the eigenvalue of larger real part, so no factor overflows and
-    near-equal eigenvalues lose no digits to cancellation.  The pairs are
-    summed one at a time: no temporary grows past the size of ``e``, so the
-    cost per call does not depend on how the allocator returns large blocks.
-    """
-    p = lam.size
-    weighted = scale[:, None] * e                    # (m, p)
-    out = np.empty((p, p), dtype=e.dtype)
-    for i in range(p):
-        for j in range(i, p):
-            hi, lo = (i, j) if lam[i].real > lam[j].real else (j, i)
-            gap = lam[lo] - lam[hi]
-            if gap == 0:
-                out[i, j] = out[j, i] = weighted[:, hi] @ z
-            else:
-                out[i, j] = out[j, i] = weighted[:, hi] @ np.expm1(z * gap) / gap
-    return out
+@cache
+def _orbits(p: int, pairs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Entries ``(i, j, si, sj, ci, cj)`` that :func:`_folded_sums` sums for
+    an order-``p`` spectrum whose conjugate pairs start at ``pairs``: one
+    ``i <= j`` per conjugate orbit, leaving out each pair with itself.
+    ``(si, sj)`` is the entry with the members of each pair swapped, whose
+    value is the conjugate; ``ci`` and ``cj`` index the weighted ``exp``
+    columns of ``i`` and ``j`` among the real eigenvalues, then the pairs'
+    first members, then their second members (conjugated).  The table
+    depends on the layout alone, so each layout is worked out once."""
+    second = {k + 1 for k in pairs}
+    real = [k for k in range(p) if k not in second and k not in pairs]
+    sigma, col = list(range(p)), [0] * p
+    for n, k in enumerate(real):
+        col[k] = n
+    for n, k in enumerate(pairs):
+        sigma[k], sigma[k + 1] = k + 1, k
+        col[k], col[k + 1] = len(real) + n, len(real) + len(pairs) + n
+    return tuple((i, j, sigma[i], sigma[j], col[i], col[j])
+                 for i in range(p) for j in range(i, p)
+                 if tuple(sorted((sigma[i], sigma[j]))) >= (i, j)
+                 and not j == sigma[i] != i)
 
 
 def m_step(stats: SufficientStats, total_weight: float, spec: StructureSpec,

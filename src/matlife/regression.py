@@ -452,6 +452,8 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
     """
     sample = RegressionSample.coerce(data).canonical()
     config = config or PIFitConfig()
+    if config.max_outer < 1:
+        raise InvalidInputError("max_outer must be at least one")
     if family == "identity" and config.shape_covariates:
         raise InvalidInputError("identity family has no shape parameter to regress")
 

@@ -142,6 +142,37 @@ class TestExitCodes:
         assert "loglik=-inf" in out.out
         assert "numerical failure" in out.err
 
+    @pytest.mark.parametrize("argv,code,names", [
+        (["fit-pi", "{sample}", "--max-outer", "0"], 2, "max_outer"),
+        (["fit-mortality", "{table}", "--em-iters", "0"], 2, "max_outer"),
+        (["simulate", "--model", "{model}", "--censor-mean", "-1"], 2,
+         "--censor-mean"),
+        (["simulate", "--model", "{model}", "--censor-mean", "0"], 2,
+         "--censor-mean"),
+        (["simulate", "--study", "--n-per-group", "3"], 3, "censoring fraction"),
+    ], ids=["max-outer", "em-iters", "negative-censor-mean",
+            "zero-censor-mean", "tiny-study"])
+    def test_rejected_settings_print_one_line(self, tmp_path, argv, code, names):
+        # in a child process, so an uncaught exception would show as a
+        # traceback and exit code 1
+        model_path = tmp_path / "model.json"
+        save_model(model_path, IPHModel(PHRepresentation([1.0], [[-2.0]])))
+        files = {"sample": write_sample_csv(tmp_path / "s.csv"),
+                 "table": write_rates_table(tmp_path / "t.txt", range(50, 55),
+                                            [2000], lambda a, y: 0.01),
+                 "model": model_path}
+        src = str(pathlib.Path(matlife.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "matlife", *(a.format(**files) for a in argv),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: " if code == 2 else "numerical failure: ")
+        assert names in lines[0]
+
     def test_covariate_count_mismatch(self, tmp_path):
         model_path = tmp_path / "model.json"
         save_model(model_path, PIModel(PHRepresentation([1.0], [[-1.0]]),

@@ -311,6 +311,30 @@ class TestSpectralEStep:
                             atol=1e-13 * np.abs(scale @ e).max())
             assert_allclose(dd, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("kind", ["general", "coxian"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_real_spectra_fold_to_the_unfolded_sums_bitwise(self, p, kind):
+        # with no conjugate pair the folded sums run in real arithmetic and
+        # divide by each gap after the dot product, as the reference does
+        z, w = ROUTE_SAMPLE.z, ROUTE_SAMPLE.weight
+        checked = 0
+        for seed in range(6):
+            spectrum = random_representation(np.random.default_rng(seed), p,
+                                             kind)._spectrum
+            if spectrum.pairs.size:
+                continue
+            e = np.exp(np.multiply.outer(z, spectrum.eigvals))
+            for coef in (spectrum.exit_coef, spectrum.ones_coef):
+                denom, se, dd = em._folded_sums(spectrum, coef, z, w, ROUTE_SAMPLE)
+                scale = w / denom
+                assert not np.iscomplexobj(se) and not np.iscomplexobj(dd)
+                assert np.array_equal(denom, np.maximum(e @ coef, 0.0))
+                assert np.array_equal(se, scale @ e)
+                assert np.array_equal(
+                    dd, unfolded_divided_differences(spectrum.eigvals, z, scale))
+            checked += 1
+        assert checked
+
     def test_exactly_repeated_complex_pairs(self):
         # two identical rotations: each pair's eigenvalue repeats exactly
         cycle = 0.8 * np.roll(np.eye(3), 1, axis=1) - 1.2 * np.eye(3)
