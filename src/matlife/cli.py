@@ -211,6 +211,15 @@ def _prepare(resolve) -> tuple[pathlib.Path, np.random.Generator]:
     return out_dir, rng
 
 
+def _at_least_one(value, flag: str) -> int:
+    """``value`` as an int, or :class:`InvalidInputError` naming ``flag``
+    when it is below one."""
+    value = int(value)
+    if value < 1:
+        raise InvalidInputError(f"{flag} must be at least one")
+    return value
+
+
 def _wrote(path: pathlib.Path) -> None:
     print(f"wrote {path}")
 
@@ -248,7 +257,7 @@ def _cmd_fit_pi(args) -> int:
         max_outer=int(resolve("max_outer", 200)),
         tol=float(resolve("tol", 1e-6)),
         patience=int(resolve("patience", 5)),
-        nm_budget=int(resolve("nm_budget", STEP_BUDGET)),
+        nm_budget=_at_least_one(resolve("nm_budget", STEP_BUDGET), "--nm-budget"),
         shape_covariates=bool(resolve("shape_covariates", False)))
     result = fit_pi(data.sample, spec, family=resolve("family", "weibull"),
                     config=config, rng=rng)
@@ -289,10 +298,11 @@ def _cmd_fit_mortality(args) -> int:
     order = int(resolve("order", 2))
     family = resolve("family", "gompertz")
     structure = resolve("structure", "generalized_coxian")
-    em_config = PIFitConfig(max_outer=int(resolve("em_iters", 200)),
-                            tol=float(resolve("em_tol", 1e-8)),
-                            patience=10,
-                            nm_budget=int(resolve("nm_budget", STEP_BUDGET)))
+    em_config = PIFitConfig(
+        max_outer=_at_least_one(resolve("em_iters", 200), "--em-iters"),
+        tol=float(resolve("em_tol", 1e-8)),
+        patience=10,
+        nm_budget=_at_least_one(resolve("nm_budget", STEP_BUDGET), "--nm-budget"))
     em_fit = fit_pi(sample.as_regression_sample(), StructureSpec(structure, order),
                     family=family, config=em_config, rng=rng)
     pm = em_fit.model

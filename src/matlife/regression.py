@@ -211,15 +211,14 @@ def _scores(beta: np.ndarray, gamma: np.ndarray | None,
     predictor passes :data:`SCORE_LIMIT` in magnitude."""
     rate_score = x @ beta
     bad = np.abs(rate_score) > SCORE_LIMIT
-    theta = None
+    shape_score = None
     if gamma is not None:
         shape_score = (gamma[0] + x @ gamma[1:] if gamma.size > 1
                        else np.full(x.shape[0], gamma[0]))
         bad |= np.abs(shape_score) > SCORE_LIMIT
-        theta = np.exp(shape_score)
     if bad.any():
         raise ScoreOverflowError(int(np.flatnonzero(bad)[0]))
-    return rate_score, theta
+    return rate_score, None if shape_score is None else np.exp(shape_score)
 
 
 def _clock(family: str, scores, y) -> tuple[np.ndarray, np.ndarray, object]:
@@ -274,7 +273,9 @@ def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample
     representation is held fixed, so the chain rule needs only ``f'(z)``
     besides the products and the two log-parameter derivatives of the clock.
     Zero-likelihood, non-finite or overflowing parameter points score
-    ``+inf`` so the line search backs away from them.
+    ``+inf`` so the line search backs away from them; the floating-point
+    overflows and invalid operations met on the way there are expected and
+    raise no warning.
     """
     d = sample.d
     x, y, w = sample.x, sample.y, sample.weight
@@ -287,17 +288,18 @@ def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample
             scores = _scores(beta, gamma, x)
         except ScoreOverflowError:
             return np.inf, None
-        z, log_lam, clock = _clock(family, scores, y)
-        val, slope = _censored_loglik(rep, z, obs, w, log_lam, slope=True)
-        if slope is None:
-            return np.inf, None
-        dz = w * slope
-        grad = [(dz * z + w_obs) @ x]
-        if gamma_len:
-            dshape = (dz * np.exp(scores[0]) * clock.cumulative_dlog_param(y)
-                      + w_obs * clock.log_intensity_dlog_param(y))
-            grad.append(np.concatenate([[dshape.sum()], dshape @ x])
-                        if gamma_len > 1 else [dshape.sum()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, log_lam, clock = _clock(family, scores, y)
+            val, slope = _censored_loglik(rep, z, obs, w, log_lam, slope=True)
+            if slope is None:
+                return np.inf, None
+            dz = w * slope
+            grad = [(dz * z + w_obs) @ x]
+            if gamma_len:
+                dshape = (dz * np.exp(scores[0]) * clock.cumulative_dlog_param(y)
+                          + w_obs * clock.log_intensity_dlog_param(y))
+                grad.append(np.concatenate([[dshape.sum()], dshape @ x])
+                            if gamma_len > 1 else [dshape.sum()])
         grad = -np.concatenate(grad)
         if not (np.isfinite(val) and np.all(np.isfinite(grad))):
             return np.inf, None
@@ -306,21 +308,24 @@ def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample
     return objective
 
 
-def _descend(objective, x: np.ndarray, f: float, g: np.ndarray,
-             budget: int) -> tuple[np.ndarray, float]:
+def _descend(objective, x: np.ndarray, f: float, g: np.ndarray, budget: int,
+             h: np.ndarray | None = None
+             ) -> tuple[np.ndarray, float, np.ndarray | None]:
     """BFGS on the inverse Hessian with Armijo backtracking.
 
-    The first step has max-norm one, after which the inverse Hessian starts
-    from ``(s'y / y'y) I``.  A trial point is accepted only when it lowers
-    the objective.  A rejected finite trial shrinks the step to the minimum
-    of the quadratic through the slope and the trial value, kept within a
-    tenth and a half of it; a non-finite one halves it.  Stops when a step
-    can gain (or, accepted, gained) at most 1e-13 relative, when the
-    gradient vanishes (max-norm 1e-9), or after ``budget`` evaluations
-    counting the start.  Returns the last accepted point and its value.
+    Given a starting inverse Hessian ``h``, the first trial is the
+    quasi-Newton step ``-h g``; without one, the first step has max-norm
+    one, after which the inverse Hessian starts from ``(s'y / y'y) I``.  A
+    trial point is accepted only when it lowers the objective.  A rejected
+    finite trial shrinks the step to the minimum of the quadratic through
+    the slope and the trial value, kept within a tenth and a half of it; a
+    non-finite one halves it.  Stops when a step can gain (or, accepted,
+    gained) at most 1e-13 relative, when the gradient vanishes (max-norm
+    1e-9), or after ``budget`` evaluations counting the start.  Returns the
+    last accepted point, its value and the final inverse Hessian (``None``
+    while no curvature has been learned).
     """
     evals = 1
-    h = None
     while evals < budget and np.abs(g).max() > 1e-9:
         step = -g / np.abs(g).max() if h is None else -(h @ g)
         descent = g @ step
@@ -349,12 +354,12 @@ def _descend(objective, x: np.ndarray, f: float, g: np.ndarray,
                 h = (sy / (yk @ yk)) * np.eye(x.size)
             v = np.eye(x.size) - np.outer(s, yk) / sy
             h = v @ h @ v.T + np.outer(s, s) / sy
-    return x, f
+    return x, f, h
 
 
 def maximize_regression(rep: PHRepresentation, family: str, data,
                         beta: np.ndarray, gamma: np.ndarray | None,
-                        budget: int = STEP_BUDGET
+                        budget: int = STEP_BUDGET, *, _curvature: list | None = None
                         ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """One coefficient-improvement pass with the representation held fixed.
 
@@ -362,6 +367,11 @@ def maximize_regression(rep: PHRepresentation, family: str, data,
     coefficients, capped at ``budget`` objective-and-gradient evaluations;
     the returned coefficients never score worse than the starting point.
     Returns them with their log-likelihood, :func:`pi_loglik` of the sample.
+
+    ``_curvature`` is :func:`fit_pi`'s one-slot holder of the inverse
+    Hessian: the descent starts from the matrix it holds (unless ``None``)
+    and leaves its final one there, so curvature carries from one outer
+    step to the next.  Without a holder every pass starts afresh.
     """
     sample = RegressionSample.coerce(data)
     beta = np.asarray(beta, dtype=float).ravel()
@@ -373,14 +383,18 @@ def maximize_regression(rep: PHRepresentation, family: str, data,
     if not np.isfinite(f):
         raise InvalidInputError("starting coefficients have zero likelihood")
     if x.size:
-        x, f = _descend(objective, x, f, g, budget)
+        h = None if _curvature is None else _curvature[0]
+        x, f, h = _descend(objective, x, f, g, budget, h)
+        if _curvature is not None:
+            _curvature[0] = h
     return (*_unpack(x, beta.size, gamma_len), -f)
 
 
 @dataclass(frozen=True)
 class PIFitConfig:
     """Settings of :func:`fit_pi`; ``nm_budget`` caps the objective-and-gradient
-    evaluations of each coefficient step."""
+    evaluations of each coefficient step (the BFGS curvature those steps
+    learn carries across outer steps whatever the budget)."""
 
     max_outer: int = 2000
     tol: float = 1e-4
@@ -444,8 +458,10 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
 
     Each outer iteration transforms the data with the current coefficients,
     runs one EM pass on the representation, then improves the coefficients by
-    a quasi-Newton step on the exact gradient (warm-started from the previous
-    values; see :func:`maximize_regression`).  Covariates are
+    a quasi-Newton step on the exact gradient (see
+    :func:`maximize_regression`), warm-started from the previous values and
+    from the previous step's inverse Hessian, so a step that starts near the
+    optimum after a small M-step move needs few evaluations.  Covariates are
     standardized internally; reported coefficients are on the original scale.
     Stops when the relative log-likelihood change stays below ``tol`` for
     ``patience`` consecutive iterations.
@@ -454,6 +470,8 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
     config = config or PIFitConfig()
     if config.max_outer < 1:
         raise InvalidInputError("max_outer must be at least one")
+    if config.nm_budget < 1:
+        raise InvalidInputError("nm_budget must be at least one")
     if family == "identity" and config.shape_covariates:
         raise InvalidInputError("identity family has no shape parameter to regress")
 
@@ -472,6 +490,7 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
     converged = False
     streak = 0
     iterations = 0
+    curvature = [None]
     for _ in range(config.max_outer):
         try:
             current = PIModel(rep, family, beta, gamma)
@@ -484,7 +503,8 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
         dead_events += int(np.sum(stats.v <= DEAD_STATE_TOL * max(1.0, total)))
         rep = m_step(stats, total, spec, previous=rep)
         beta, gamma, ll = maximize_regression(rep, family, internal, beta, gamma,
-                                              budget=config.nm_budget)
+                                              budget=config.nm_budget,
+                                              _curvature=curvature)
         trace.append(ll)
         iterations += 1
         if len(trace) >= 2:

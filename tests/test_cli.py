@@ -144,13 +144,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,code,names", [
         (["fit-pi", "{sample}", "--max-outer", "0"], 2, "max_outer"),
-        (["fit-mortality", "{table}", "--em-iters", "0"], 2, "max_outer"),
+        (["fit-mortality", "{table}", "--em-iters", "0"], 2, "--em-iters"),
+        (["fit-pi", "{sample}", "--nm-budget", "0"], 2, "--nm-budget"),
+        (["fit-pi", "{sample}", "--nm-budget", "-5"], 2, "--nm-budget"),
+        (["fit-mortality", "{table}", "--nm-budget", "0"], 2, "--nm-budget"),
+        (["fit-mortality", "{table}", "--nm-budget", "-5"], 2, "--nm-budget"),
         (["simulate", "--model", "{model}", "--censor-mean", "-1"], 2,
          "--censor-mean"),
         (["simulate", "--model", "{model}", "--censor-mean", "0"], 2,
          "--censor-mean"),
         (["simulate", "--study", "--n-per-group", "3"], 3, "censoring fraction"),
-    ], ids=["max-outer", "em-iters", "negative-censor-mean",
+    ], ids=["max-outer", "em-iters", "fit-pi-zero-nm-budget",
+            "fit-pi-negative-nm-budget", "fit-mortality-zero-nm-budget",
+            "fit-mortality-negative-nm-budget", "negative-censor-mean",
             "zero-censor-mean", "tiny-study"])
     def test_rejected_settings_print_one_line(self, tmp_path, argv, code, names):
         # in a child process, so an uncaught exception would show as a

@@ -52,6 +52,32 @@ def two_group_sample(n_per_group, rng, beta=np.log(2.0), theta1=1.5, theta2=1.0)
     return RegressionSample(y, delta, x, np.ones(y.size))
 
 
+def life_table_sample():
+    """Implied lifetimes of the synthetic 2000-2005 period table (no
+    covariates)."""
+    return implied_sample(load_table(DATA / "synthetic_Mx_1x1.txt"),
+                          2000, 2005).as_regression_sample()
+
+
+def count_evaluations(monkeypatch):
+    """Objective evaluations of each coefficient step, one list entry per
+    objective :func:`_fast_objective` builds, counted from here on."""
+    counts = []
+
+    def counted(*args):
+        objective = _fast_objective(*args)
+        counts.append(0)
+
+        def wrapped(vec):
+            counts[-1] += 1
+            return objective(vec)
+
+        return wrapped
+
+    monkeypatch.setattr(regression, "_fast_objective", counted)
+    return counts
+
+
 class TestSample:
     def test_coerce_rows(self):
         s = RegressionSample.coerce([(1.0, 1, (0.5, 2.0)), (2.0, 0, (1.0, 0.0), 2.0)])
@@ -272,17 +298,22 @@ class TestMaximize:
     def test_step_survives_a_zero_likelihood_trial_point(self, monkeypatch):
         # on the life-table sample the fifth step starts at gamma = 1.303
         # with slope -0.666: the unit first trial, gamma + 1, has zero
-        # likelihood, and the step must back off from it and still gain
-        sample = implied_sample(load_table(DATA / "synthetic_Mx_1x1.txt"),
-                                2000, 2005).as_regression_sample()
+        # likelihood, and a step with no carried curvature must back off
+        # from it and still gain; the fit's own step starts from the
+        # curvature of the fourth and need not try that point
+        sample = life_table_sample()
         steps = []
 
-        def recording(rep, family, data, beta, gamma, budget):
+        def recording(rep, family, data, beta, gamma, budget, **kwargs):
             objective = _fast_objective(rep, family, data, gamma.size)
             first_trial = objective(np.concatenate([beta, gamma + 1.0]))[0]
-            out = maximize_regression(rep, family, data, beta, gamma, budget=budget)
+            fresh = maximize_regression(rep, family, data, beta, gamma,
+                                        budget=budget)
+            out = maximize_regression(rep, family, data, beta, gamma,
+                                      budget=budget, **kwargs)
             steps.append([-pi_loglik(PIModel(rep, family, b, g), data)
-                          for b, g in ((beta, gamma), out[:2])] + [first_trial])
+                          for b, g in ((beta, gamma), out[:2], fresh[:2])]
+                         + [first_trial])
             return out
 
         monkeypatch.setattr(regression, "maximize_regression", recording)
@@ -290,8 +321,9 @@ class TestMaximize:
                      family="gompertz",
                      config=PIFitConfig(max_outer=6, tol=0.0, nm_budget=30),
                      rng=np.random.default_rng(0))
-        start, end, first_trial = steps[4]
+        start, end, fresh_end, first_trial = steps[4]
         assert first_trial == np.inf
+        assert fresh_end <= start - 0.03
         assert end <= start - 0.03
         # reference: the gradient-free (Nelder-Mead) step at the same budget;
         # its first step stopped short and the EM path after it differs by
@@ -310,6 +342,87 @@ class TestMaximize:
         assert beta.size == 0 and gamma is None
         assert_allclose(ll, pi_loglik(PIModel(rep, "identity", beta), sample),
                         rtol=1e-12)
+
+
+class TestCarriedCurvature:
+    """``fit_pi`` hands each coefficient step the inverse Hessian the one
+    before it ended with."""
+
+    def test_late_warm_starts_take_few_evaluations(self, monkeypatch):
+        # restarting every step from a max-norm-1 trial took 830 evaluations
+        # here, 8 to 10 in each of steps 50-99, where the coefficients sit
+        # near the optimum after a small M-step move
+        counts = count_evaluations(monkeypatch)
+        res = fit_pi(life_table_sample(), StructureSpec("generalized_coxian", 2),
+                     family="gompertz", config=PIFitConfig(max_outer=100, tol=0.0),
+                     rng=np.random.default_rng(0))
+        assert res.iterations == len(counts) == 100
+        assert sum(counts) <= 450
+        assert max(counts[50:]) <= 4
+
+    def test_every_step_goes_through_the_module_binding(self, monkeypatch):
+        # a tracer that wraps regression.maximize_regression sees every
+        # coefficient step of the fit
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return maximize_regression(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "maximize_regression", counted)
+        res = fit_pi(two_group_sample(40, np.random.default_rng(16)),
+                     StructureSpec("coxian", 2),
+                     config=PIFitConfig(max_outer=30, tol=1e-3, patience=2),
+                     rng=np.random.default_rng(0))
+        assert 2 <= res.iterations < 30
+        assert len(calls) == res.iterations
+
+    @given(scale=st.sampled_from([1e6, 1e-6]), per_covariate=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    def test_wrong_curvature_never_loses(self, scale, per_covariate, seed):
+        rng = np.random.default_rng(seed)
+        sample = two_group_sample(60, rng)
+        rep = random_representation(rng, 2)
+        gamma_len = 2 if per_covariate else 1
+        start = rng.uniform(-0.3, 0.3, 1 + gamma_len)
+        start_ll = -_fast_objective(rep, "weibull", sample, gamma_len)(start)[0]
+        holder = [scale * np.eye(start.size)]
+        beta, gamma, ll = maximize_regression(rep, "weibull", sample, start[:1],
+                                              start[1:], _curvature=holder)
+        assert ll >= start_ll
+        assert_allclose(ll, pi_loglik(PIModel(rep, "weibull", beta, gamma), sample),
+                        rtol=1e-12)
+        assert holder[0].shape == (start.size, start.size)
+        assert np.all(np.isfinite(holder[0]))
+
+    @given(scale=st.sampled_from([1e6, 1e-6]), seed=st.integers(0, 2**16))
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    def test_fit_misled_every_step_stays_monotone_and_deterministic(self, scale,
+                                                                    seed):
+        sample = two_group_sample(40, np.random.default_rng(seed))
+
+        def misled(rep, family, data, beta, gamma, budget, *, _curvature):
+            _curvature[0] = scale * np.eye(beta.size + gamma.size)
+            return maximize_regression(rep, family, data, beta, gamma, budget,
+                                       _curvature=_curvature)
+
+        def fit():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regression, "maximize_regression", misled)
+                return fit_pi(sample, StructureSpec("general", 2),
+                              config=PIFitConfig(max_outer=8, tol=0.0,
+                                                 nm_budget=50,
+                                                 shape_covariates=True),
+                              rng=np.random.default_rng(seed))
+
+        a, b = fit(), fit()
+        trace = a.loglik_trace
+        assert np.all(np.diff(trace) >= -1e-9 * max(1.0, abs(trace[-1])))
+        np.testing.assert_array_equal(a.loglik_trace, b.loglik_trace)
+        np.testing.assert_array_equal(a.model.beta, b.model.beta)
+        np.testing.assert_array_equal(a.model.gamma, b.model.gamma)
+        np.testing.assert_array_equal(a.model.rep.T, b.model.rep.T)
 
 
 class TestFit:
@@ -388,6 +501,14 @@ class TestFit:
         rate_hat = -float(res.model.rep.T[0, 0])
         assert abs(theta_hat - 1.5) < 0.1
         assert abs(rate_hat - 1.0) < 0.1
+
+    @pytest.mark.parametrize("setting", [{"max_outer": 0}, {"nm_budget": 0},
+                                         {"nm_budget": -5}])
+    def test_settings_below_one_rejected(self, setting):
+        sample = two_group_sample(10, np.random.default_rng(17))
+        with pytest.raises(InvalidInputError, match=next(iter(setting))):
+            fit_pi(sample, StructureSpec("coxian", 1),
+                   config=PIFitConfig(**setting))
 
     def test_init_order_mismatch(self):
         rng = np.random.default_rng(15)
