@@ -254,9 +254,9 @@ def _cmd_fit_pi(args) -> int:
     spec = StructureSpec(resolve("structure", "coxian"),
                          int(resolve("order", 2)))
     config = PIFitConfig(
-        max_outer=int(resolve("max_outer", 200)),
+        max_outer=_at_least_one(resolve("max_outer", 200), "--max-outer"),
         tol=float(resolve("tol", 1e-6)),
-        patience=int(resolve("patience", 5)),
+        patience=_at_least_one(resolve("patience", 5), "--patience"),
         nm_budget=_at_least_one(resolve("nm_budget", STEP_BUDGET), "--nm-budget"),
         shape_covariates=bool(resolve("shape_covariates", False)))
     result = fit_pi(data.sample, spec, family=resolve("family", "weibull"),

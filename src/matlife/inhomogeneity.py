@@ -89,7 +89,8 @@ class WeibullTransform:
 
     def intensity(self, s):
         s = np.asarray(s, dtype=float)
-        return self.theta * s ** (self.theta - 1.0)
+        with np.errstate(over="ignore"):
+            return self.theta * s ** (self.theta - 1.0)
 
     def log_intensity(self, s):
         s = np.asarray(s, dtype=float)
@@ -97,12 +98,13 @@ class WeibullTransform:
             return np.log(self.theta) + (self.theta - 1.0) * np.log(s)
 
     def cumulative(self, y):
-        return np.asarray(y, dtype=float) ** self.theta
+        with np.errstate(over="ignore"):
+            return np.asarray(y, dtype=float) ** self.theta
 
     def cumulative_dlog_param(self, y):
         """``d cumulative(y) / d log(theta)``, that is ``theta log(y) y**theta``."""
         y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(y > 0, self.theta * np.log(y) * self.cumulative(y), 0.0)
 
     def log_intensity_dlog_param(self, s):

@@ -5,11 +5,11 @@ reproduces every parameter bitwise.  CSV exports use ``%.17g`` for the same
 reason.  Only plain transform families serialize; the shifted and scaled
 wrappers describe derived models and are rebuilt on demand instead.
 
-CSV work is columnar.  :func:`read_survival_csv` parses the header with the
-csv module and the whole body in one ``numpy.loadtxt`` pass; only when that
-fails does a line-by-line scan find the line to report.  Every writer goes
-through one formatter that writes the header with ``csv.writer`` and then
-the rows in fixed-size blocks, one ``%``-format per row over column slices.
+Table work is columnar.  Survival CSVs and life tables share one reader:
+the body in one ``numpy.loadtxt`` pass, and only when that fails a
+line-by-line scan for the line to report.  Every writer goes through one
+formatter that writes the header with ``csv.writer`` and then the rows in
+fixed-size blocks, one ``%``-format per row over column slices.
 """
 
 from __future__ import annotations
@@ -120,37 +120,61 @@ class SurvivalData(NamedTuple):
     covariate_names: list
 
 
-#: rows formatted per write call; bounds the text held in memory at once
+#: rows per write call and lines per life-table read; bounds text held in memory
 _BLOCK_ROWS = 4096
 
 #: characters a line may consist of and still count as blank
 _BLANK = string.whitespace + ","
 
 
-def _parse_rows(lines) -> np.ndarray:
-    """Numeric cells of ``lines`` as a 2-D float array (csv quoting rules)."""
-    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
-                      ndmin=2)
+def _read_text(source) -> str:
+    """The whole text of a path, or of an object with a ``read`` method."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
-def _bad_line(lines, numbers, width) -> TableParseError:
-    """Error for the first of ``lines`` that does not parse to ``width`` numbers.
+def _read_rows(lines, numbers, width, delimiter=",", dtype=float,
+               convert=lambda cells: cells):
+    """The data ``lines`` of a numeric text table, read in one numpy pass.
 
-    Runs only after the one-pass parse failed, so a line-by-line scan is
-    affordable here.
+    Rows hold ``width`` fields split at ``delimiter`` (a comma follows the
+    csv quoting rules, ``None`` splits on whitespace and skips blank lines).
+    A plain ``dtype`` gives a 2-D array; a record ``dtype`` gives records,
+    which ``convert`` turns into the caller's columns, raising ``ValueError``
+    for a row it refuses.  Only when the pass fails does a line-by-line scan
+    name the first line that fails alone, by its number from ``numbers()``.
     """
+    record = np.dtype(dtype).names is not None
+
+    def read(chunk):
+        if not any(map(str.strip, chunk)):  # numpy warns on empty input
+            return convert(np.empty(0, dtype))
+        cells = np.loadtxt(chunk, dtype=dtype, delimiter=delimiter, comments=None,
+                           quotechar='"' if delimiter == "," else None,
+                           ndmin=1 if record else 2)
+        if not record and cells.shape != (len(chunk), width):
+            raise ValueError(f"expected {width} fields, got {cells.shape[1]}")
+        return convert(cells)
+
+    try:
+        return read(lines)
+    except ValueError:
+        pass
+    numbers = numbers()
     for number, line in zip(numbers, lines):
-        if line.count('"') % 2:
+        if delimiter == "," and line.count('"') % 2:
             # numpy would carry the quoted cell on into the next line
-            return TableParseError(number, "quoted cell runs past the line end")
+            raise TableParseError(number, "quoted cell runs past the line end")
+        if record and (got := len(line.split(delimiter))) not in (0, width):
+            raise TableParseError(number, f"expected {width} fields, got {got}")
         try:
-            got = _parse_rows([line]).shape[1]
+            read([line])
         except ValueError as err:
             # numpy counts rows within the single line it was given
-            return TableParseError(number, str(err).split(" at row ")[0])
-        if got != width:
-            return TableParseError(number, f"expected {width} fields, got {got}")
-    return TableParseError(numbers[0], "rows do not parse as numbers")
+            raise TableParseError(number, str(err).split(" at row ")[0]) from None
+    raise TableParseError(numbers[0], "rows do not parse as numbers")
 
 
 def read_survival_csv(source) -> SurvivalData:
@@ -165,12 +189,7 @@ def read_survival_csv(source) -> SurvivalData:
     :class:`TableParseError` carries the physical line number of the first
     offending line.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = _read_text(source).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     rows = [line for line in lines if line.strip(_BLANK)]
     if not rows:
         raise TableParseError(1, "empty file")
@@ -196,12 +215,7 @@ def read_survival_csv(source) -> SurvivalData:
     body = rows[1:]
     if not body:
         raise TableParseError(numbers()[0], "no data rows")
-    try:
-        table = _parse_rows(body)
-    except ValueError:
-        table = None
-    if table is None or table.shape != (len(body), len(header)):
-        raise _bad_line(body, numbers()[1:], len(header))
+    table = _read_rows(body, lambda: numbers()[1:], len(header))
     status = table[:, pos_status]
     off = np.flatnonzero((status != 0.0) & (status != 1.0))
     if off.size:

@@ -9,11 +9,13 @@ so tables and curves stay in years throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DomainError, InvalidInputError, TableParseError
+from .io import _BLOCK_ROWS, _read_rows, _read_text
 from .phasetype import IPHModel, PHRepresentation
 from .regression import PIModel, RegressionSample
 from .em import CensoredSample
@@ -141,74 +143,53 @@ def load_table(source, kind: str = "rates", column: str = "Female") -> LifeTable
 
     The file starts with a free-text title, then a header naming at least
     ``Year`` and ``Age`` plus value columns (typically Female, Male, Total).
-    The terminal open age group ``110+`` maps to 110; missing values written
-    as ``.`` drop the row and are counted in ``dropped``.
+    The open age group ``110+`` maps to 110; missing values written as ``.``
+    drop the row and are counted in ``dropped``.  Age and value cells follow
+    Python's ``int`` and ``float``, Year cells numpy's integer parser (no
+    digit underscores or non-ASCII digits); other columns are only counted.
 
     ``kind`` declares what the value column holds: central death rates,
     death counts, or exposures.
     """
     if kind not in _KIND_COLUMNS:
         raise InvalidInputError(f"unknown table kind {kind!r}")
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = text.splitlines()
+    lines = _read_text(source).splitlines()
 
-    header_idx = None
-    names = []
-    for i, line in enumerate(lines):
-        tokens = line.split()
-        if "Year" in tokens and "Age" in tokens:
-            header_idx = i
-            names = tokens
+    for number, line in enumerate(lines, start=1):
+        names = line.split()
+        if "Year" in names and "Age" in names:
             break
-    if header_idx is None:
+    else:
         raise TableParseError(1, "no header line naming Year and Age")
     if column not in names:
-        raise TableParseError(header_idx + 1,
-                              f"column {column!r} not in header {names}")
-    pos_year = names.index("Year")
-    pos_age = names.index("Age")
-    pos_val = names.index(column)
+        raise TableParseError(number, f"column {column!r} not in header {names}")
+    # Age and the value column stay text for the rules below
+    year, age, value = (f"c{names.index(name)}" for name in ("Year", "Age", column))
+    formats = {f"c{i}": "U1" for i in range(len(names))}
+    formats[year] = "i8"
+    formats[age] = formats[value] = "O"
+    dtype = np.dtype(list(formats.items()))
 
-    years, ages, values = [], [], []
-    dropped = 0
-    for i in range(header_idx + 1, len(lines)):
-        line = lines[i]
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != len(names):
-            raise TableParseError(i + 1,
-                                  f"expected {len(names)} fields, got {len(tokens)}")
-        raw_age = tokens[pos_age]
-        try:
-            year = int(tokens[pos_year])
-            age = int(raw_age[:-1]) if raw_age.endswith("+") else int(raw_age)
-        except ValueError:
-            raise TableParseError(i + 1, f"bad year/age {tokens[pos_year]!r} "
-                                         f"{raw_age!r}") from None
-        raw = tokens[pos_val]
-        if raw == ".":
-            dropped += 1
-            continue
-        try:
-            value = float(raw)
-        except ValueError:
-            raise TableParseError(i + 1, f"bad value {raw!r}") from None
-        years.append(year)
-        ages.append(age)
-        values.append(value)
-    if not years:
-        raise TableParseError(len(lines) or 1, "no data rows")
+    def rules(cells):
+        ages = cells[age].copy()
+        open_group = np.fromiter(map(str.endswith, ages, repeat("+")), bool, ages.size)
+        ages[open_group] = [token[:-1] for token in ages[open_group]]
+        keep = cells[value] != "."
+        return (cells[year].astype(int)[keep], ages.astype(int)[keep],
+                cells[value][keep].astype(float), ~keep)
 
-    nan = np.full(len(years), np.nan)
-    cols = {"deaths": nan.copy(), "exposure": nan.copy(), "mx": nan.copy()}
-    cols[_KIND_COLUMNS[kind]] = np.asarray(values, dtype=float)
-    return LifeTable(np.asarray(years), np.asarray(ages), cols["deaths"],
-                     cols["exposure"], cols["mx"], dropped)
+    # block by block, so that the text cells of one block are alive at a
+    # time; an empty body is one empty block
+    starts = range(number, len(lines), _BLOCK_ROWS) or [number]
+    blocks = [_read_rows(lines[lo:lo + _BLOCK_ROWS],
+                         lambda lo=lo: range(lo + 1, len(lines) + 1), len(names),
+                         delimiter=None, dtype=dtype, convert=rules) for lo in starts]
+    years, ages, values, missing = map(np.concatenate, zip(*blocks))
+    if not years.size:
+        raise TableParseError(len(lines), "no data rows")
+    cols = dict.fromkeys(("deaths", "exposure", "mx"), np.full(years.size, np.nan))
+    cols[_KIND_COLUMNS[kind]] = values
+    return LifeTable(years, ages, **cols, dropped=np.count_nonzero(missing))
 
 
 def combine_tables(deaths: LifeTable, exposures: LifeTable) -> LifeTable:

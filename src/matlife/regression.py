@@ -470,6 +470,8 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
     config = config or PIFitConfig()
     if config.max_outer < 1:
         raise InvalidInputError("max_outer must be at least one")
+    if config.patience < 1:
+        raise InvalidInputError("patience must be at least one")
     if config.nm_budget < 1:
         raise InvalidInputError("nm_budget must be at least one")
     if family == "identity" and config.shape_covariates:

@@ -8,6 +8,8 @@ and path simulation for conditional expectations.
 import numpy as np
 
 from matlife.em import SufficientStats
+from matlife.exceptions import TableParseError
+from matlife.mortality import LifeTable
 from matlife.phasetype import PHRepresentation
 
 
@@ -27,11 +29,37 @@ def taylor_expm(a, terms=60):
     return out
 
 
+def taylor_expm_stack(a, terms=60):
+    """``taylor_expm`` of every matrix in the stack ``a``.
+
+    Each matrix gets the same series and squarings as ``taylor_expm``; the
+    work is batched over the matrices that share a squaring count.
+    """
+    a = np.asarray(a, dtype=float)
+    norms = np.abs(a).sum(axis=-1).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norms, 1e-16))).astype(int).clip(0) + 1
+    out = np.empty_like(a)
+    for count in np.unique(squarings):
+        group = squarings == count
+        b = a[group] / 2.0**count
+        acc = np.broadcast_to(np.eye(a.shape[-1]), b.shape)
+        term = acc
+        for k in range(1, terms + 1):
+            term = term @ b / k
+            acc = acc + term
+        for _ in range(count):
+            acc = acc @ acc
+        out[group] = acc
+    return out
+
+
 def simpson_conv(t, b, z, panels=4096):
     """Composite-Simpson evaluation of the matrix convolution integral."""
     u = np.linspace(0.0, z, 2 * panels + 1)
     h = u[1] - u[0]
-    vals = np.array([taylor_expm(t * (z - ui)) @ b @ taylor_expm(t * ui) for ui in u])
+    t = np.asarray(t, dtype=float)
+    vals = (taylor_expm_stack(t * (z - u)[:, None, None]) @ b
+            @ taylor_expm_stack(t * u[:, None, None]))
     weights = np.ones(len(u))
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
@@ -67,6 +95,61 @@ def aggregate_rates_by_age(table, year_from, year_to):
         else:
             m[i] = np.nanmean(sub.mx[rows])
     return ages, m
+
+
+def load_table_by_lines(source, kind="rates", column="Female"):
+    """Life table parsed one line at a time with ``str.split``, ``int`` and
+    ``float`` (reference route for ``mortality.load_table``).
+
+    Same layout and rules: the first line naming Year and Age is the header,
+    blank lines are skipped, ``110+`` reads as 110 and a lone ``.`` as the
+    value drops the row.  Raises ``TableParseError`` at the first bad line.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    lines = text.splitlines()
+    header_idx = next((i for i, line in enumerate(lines)
+                       if {"Year", "Age"} <= set(line.split())), None)
+    if header_idx is None:
+        raise TableParseError(1, "no header line naming Year and Age")
+    names = lines[header_idx].split()
+    if column not in names:
+        raise TableParseError(header_idx + 1, f"column {column!r} not in header")
+    pos_year, pos_age, pos_val = (names.index(n) for n in ("Year", "Age", column))
+    years, ages, values = [], [], []
+    dropped = 0
+    for i in range(header_idx + 1, len(lines)):
+        tokens = lines[i].split()
+        if not tokens:
+            continue
+        if len(tokens) != len(names):
+            raise TableParseError(i + 1, "wrong field count")
+        raw_age = tokens[pos_age]
+        try:
+            year = int(tokens[pos_year])
+            age = int(raw_age[:-1]) if raw_age.endswith("+") else int(raw_age)
+        except ValueError:
+            raise TableParseError(i + 1, "bad year or age") from None
+        if tokens[pos_val] == ".":
+            dropped += 1
+            continue
+        try:
+            values.append(float(tokens[pos_val]))
+        except ValueError:
+            raise TableParseError(i + 1, "bad value") from None
+        years.append(year)
+        ages.append(age)
+    if not years:
+        raise TableParseError(len(lines) or 1, "no data rows")
+    cols = {name: np.full(len(years), np.nan)
+            for name in ("deaths", "exposure", "mx")}
+    cols[{"rates": "mx", "deaths": "deaths", "exposures": "exposure"}[kind]] = (
+        np.asarray(values, dtype=float))
+    return LifeTable(np.asarray(years), np.asarray(ages), cols["deaths"],
+                     cols["exposure"], cols["mx"], dropped)
 
 
 def random_sub_intensity(rng, p, kind="general"):

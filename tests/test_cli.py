@@ -143,7 +143,9 @@ class TestExitCodes:
         assert "numerical failure" in out.err
 
     @pytest.mark.parametrize("argv,code,names", [
-        (["fit-pi", "{sample}", "--max-outer", "0"], 2, "max_outer"),
+        (["fit-pi", "{sample}", "--max-outer", "0"], 2, "--max-outer"),
+        (["fit-pi", "{sample}", "--patience", "0"], 2, "--patience"),
+        (["fit-pi", "{sample}", "--patience", "-3"], 2, "--patience"),
         (["fit-mortality", "{table}", "--em-iters", "0"], 2, "--em-iters"),
         (["fit-pi", "{sample}", "--nm-budget", "0"], 2, "--nm-budget"),
         (["fit-pi", "{sample}", "--nm-budget", "-5"], 2, "--nm-budget"),
@@ -154,7 +156,8 @@ class TestExitCodes:
         (["simulate", "--model", "{model}", "--censor-mean", "0"], 2,
          "--censor-mean"),
         (["simulate", "--study", "--n-per-group", "3"], 3, "censoring fraction"),
-    ], ids=["max-outer", "em-iters", "fit-pi-zero-nm-budget",
+    ], ids=["max-outer", "zero-patience", "negative-patience", "em-iters",
+            "fit-pi-zero-nm-budget",
             "fit-pi-negative-nm-budget", "fit-mortality-zero-nm-budget",
             "fit-mortality-negative-nm-budget", "negative-censor-mean",
             "zero-censor-mean", "tiny-study"])

@@ -9,7 +9,8 @@ from scipy.linalg import fractional_matrix_power
 from matlife.exceptions import DomainError, InvalidInputError
 from matlife.linalg import expm_and_conv, matrix_function, mexp
 
-from helpers import random_sub_intensity, simpson_conv, taylor_expm
+from helpers import (random_sub_intensity, simpson_conv, taylor_expm,
+                     taylor_expm_stack)
 
 
 class TestMexp:
@@ -57,6 +58,16 @@ class TestConvIntegral:
         for z in (0.3, 1.0, 2.5):
             expected = simpson_conv(t, b, z)
             assert_allclose(conv_at(t, b, z), expected, rtol=0, atol=1e-8)
+
+    def test_batched_taylor_matches_per_matrix(self):
+        # the Simpson oracle batches its Taylor series; each node must get
+        # exactly the matrix the one-matrix route gives, down to the bit
+        rng = np.random.default_rng(5)
+        t = random_sub_intensity(rng, 3)
+        scales = np.r_[0.0, np.geomspace(1e-3, 40.0, 60)]
+        stack = t * scales[:, None, None]
+        looped = np.stack([taylor_expm(m) for m in stack])
+        assert np.array_equal(taylor_expm_stack(stack), looped)
 
     def test_commuting_closed_form(self):
         # with b = identity the integrand collapses to expm(t z), so the

@@ -2,6 +2,7 @@
 conditional likelihood, the coefficient search and the alternating fit."""
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,21 @@ class TestOneLikelihood:
                -_fast_objective(rep, family, sample, 1)(np.log([theta]))[0]]
         assert_allclose(got, want, rtol=1e-12)
 
+    def test_weibull_clock_overflow_is_silent(self):
+        # 10**400 overflows the clock: an infinite operational time and a
+        # zero likelihood, with no floating-point warning on the way
+        rep = PHRepresentation([0.6, 0.4], [[-2.0, 1.0], [0.0, -3.0]])
+        y = np.array([0.5, 10.0])
+        sample = RegressionSample(y, np.ones(2, dtype=int), np.empty((2, 0)),
+                                  np.ones(2))
+        model = PIModel(rep, "weibull", [], [np.log(400.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pi_loglik(model, sample) == -np.inf
+            iph = IPHModel(rep, make_transform("weibull", 400.0))
+            assert iph.loglik(y) == -np.inf
+            assert transform(model, y, sample.x)[1] == np.inf
+
 
 class TestGradient:
     @given(family=st.sampled_from(["weibull", "gompertz", "identity"]),
@@ -436,6 +452,14 @@ class TestFit:
         diffs = np.diff(res.loglik_trace)
         scale = abs(res.loglik_trace[-1])
         assert np.all(diffs >= -1e-6 * max(1.0, scale))
+
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_below_one_rejected(self, patience):
+        # a patience below one would count as met at the second outer step
+        sample = two_group_sample(20, np.random.default_rng(6))
+        with pytest.raises(InvalidInputError, match="patience"):
+            fit_pi(sample, StructureSpec("general", 2),
+                   config=PIFitConfig(patience=patience))
 
     def test_row_order_invariance_is_exact(self):
         rng = np.random.default_rng(6)
