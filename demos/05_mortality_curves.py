@@ -26,6 +26,7 @@ from matlife.mortality import (
     implied_sample,
     lee_carter_fit,
     load_table,
+    log_rate_grid,
     model_log_mortality,
     select_order,
 )
@@ -86,11 +87,10 @@ for p in (1, 2, 3):
 print("selected order:", select_order(losses, orders=[1, 2, 3]))
 
 # Lee-Carter benchmark on the same years, as a sanity reference.
-years = np.arange(2000, 2006)
-log_m = np.array([curve_from_table(table, yr, yr).log_mortality
-                  for yr in years])
+lc_ages, years, log_m, _ = log_rate_grid(table, 2000, 2005)
 lc = lee_carter_fit(log_m)
-print(f"\nLee-Carter on 2000-2005: loading sum = {lc.b.sum():.1f}, "
+print(f"\nLee-Carter on {years[0]}-{years[-1]} ({lc_ages.size} ages): "
+      f"loading sum = {lc.b.sum():.1f}, "
       f"index range {lc.k.min():.3f} to {lc.k.max():.3f}")
 resid = log_m - lc.reconstruct()
 print(f"reconstruction rms on the log scale = "

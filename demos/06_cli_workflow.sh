@@ -1,8 +1,8 @@
 #!/bin/sh
 # End-to-end command-line workflow on temporary files: simulate a study,
 # fit a regression model, diagnose it, fit a mortality curve, and run the
-# Lee-Carter benchmark.  Every command takes --seed and writes its
-# outputs under --out-dir.
+# Lee-Carter benchmark on rates and on deaths with exposures.  Every
+# command takes --seed and writes its outputs under --out-dir.
 #
 # Run from the repository root:
 #
@@ -48,6 +48,13 @@ echo "== Lee-Carter factorization of the same table =="
 matlife lee-carter "$DATA/synthetic_Mx_1x1.txt" --column Female \
     --out-dir "$OUT/lc"
 head -3 "$OUT/lc/age_profile.csv"
+
+echo
+echo "== Lee-Carter from death counts and exposures =="
+matlife lee-carter "$DATA/synthetic_Deaths_1x1.txt" --kind deaths \
+    --exposures "$DATA/synthetic_Exposures_1x1.txt" --column Male \
+    --year-from 1990 --out-dir "$OUT/lc_deaths"
+head -3 "$OUT/lc_deaths/period_index.csv"
 
 echo
 echo "done; outputs left in $OUT"

@@ -59,6 +59,7 @@ from .mortality import (
     implied_sample,
     lee_carter_fit,
     load_table,
+    log_rate_grid,
     model_log_mortality,
 )
 from .phasetype import IPHModel
@@ -211,12 +212,12 @@ def _prepare(resolve) -> tuple[pathlib.Path, np.random.Generator]:
     return out_dir, rng
 
 
-def _at_least_one(value, flag: str) -> int:
+def _at_least(value, flag: str, low: int = 1) -> int:
     """``value`` as an int, or :class:`InvalidInputError` naming ``flag``
-    when it is below one."""
+    when it is below ``low``."""
     value = int(value)
-    if value < 1:
-        raise InvalidInputError(f"{flag} must be at least one")
+    if value < low:
+        raise InvalidInputError(f"{flag} must be at least {low}")
     return value
 
 
@@ -234,7 +235,7 @@ def _cmd_fit_ph(args) -> int:
     sample = CensoredSample(data.sample.y, data.sample.delta, data.sample.weight)
     spec = StructureSpec(resolve("structure", "general"),
                          int(resolve("order", 2)))
-    config = EMConfig(int(resolve("max_iter", 2000)),
+    config = EMConfig(_at_least(resolve("max_iter", 2000), "--max-iter", 0),
                       float(resolve("tol", 1e-7)))
     result = fit_ph(sample, spec, config, rng=rng)
     model = IPHModel(result.rep)
@@ -254,10 +255,10 @@ def _cmd_fit_pi(args) -> int:
     spec = StructureSpec(resolve("structure", "coxian"),
                          int(resolve("order", 2)))
     config = PIFitConfig(
-        max_outer=_at_least_one(resolve("max_outer", 200), "--max-outer"),
+        max_outer=_at_least(resolve("max_outer", 200), "--max-outer"),
         tol=float(resolve("tol", 1e-6)),
-        patience=_at_least_one(resolve("patience", 5), "--patience"),
-        nm_budget=_at_least_one(resolve("nm_budget", STEP_BUDGET), "--nm-budget"),
+        patience=_at_least(resolve("patience", 5), "--patience"),
+        nm_budget=_at_least(resolve("nm_budget", STEP_BUDGET), "--nm-budget"),
         shape_covariates=bool(resolve("shape_covariates", False)))
     result = fit_pi(data.sample, spec, family=resolve("family", "weibull"),
                     config=config, rng=rng)
@@ -299,10 +300,10 @@ def _cmd_fit_mortality(args) -> int:
     family = resolve("family", "gompertz")
     structure = resolve("structure", "generalized_coxian")
     em_config = PIFitConfig(
-        max_outer=_at_least_one(resolve("em_iters", 200), "--em-iters"),
+        max_outer=_at_least(resolve("em_iters", 200), "--em-iters"),
         tol=float(resolve("em_tol", 1e-8)),
         patience=10,
-        nm_budget=_at_least_one(resolve("nm_budget", STEP_BUDGET), "--nm-budget"))
+        nm_budget=_at_least(resolve("nm_budget", STEP_BUDGET), "--nm-budget"))
     em_fit = fit_pi(sample.as_regression_sample(), StructureSpec(structure, order),
                     family=family, config=em_config, rng=rng)
     pm = em_fit.model
@@ -312,8 +313,9 @@ def _cmd_fit_mortality(args) -> int:
         theta = float(pm.shape_param(np.zeros((1, 0)))[0])
         init = IPHModel(pm.rep, make_transform(family, theta))
 
-    fit_config = DirectFitConfig(max_evals=int(resolve("max_evals", 2000)),
-                                 restarts=int(resolve("restarts", 2)))
+    fit_config = DirectFitConfig(
+        max_evals=_at_least(resolve("max_evals", 2000), "--max-evals"),
+        restarts=_at_least(resolve("restarts", 2), "--restarts", 0))
     result = direct_fit(init, curve, fit_config)
     model_id = f"p{order}-{family}"
     print(f"fit-mortality: ages={curve.ages.size} start_loss="
@@ -418,24 +420,13 @@ def _cmd_lee_carter(args) -> int:
     resolve = _resolver(args)
     out_dir, _ = _prepare(resolve)
     table = _load_rates_table(args, resolve)
-    sub = table.select(resolve("year_from", None), resolve("year_to", None))
-    years = sub.years
-    lookup = {}
-    for y, a, v in zip(sub.year, sub.age, sub.mx):
-        if np.isfinite(v) and v > 0:
-            lookup[(y, a)] = v
-    ages = sorted({a for (_, a) in lookup})
-    complete = [a for a in ages if all((y, a) in lookup for y in years)]
-    if not complete:
-        raise DomainError("no age has positive rates in every selected year")
-    skipped = len(ages) - len(complete)
-    grid = np.array([[np.log(lookup[(y, a)]) for y in years] for a in complete])
+    ages, years, grid, skipped = log_rate_grid(
+        table, resolve("year_from", None), resolve("year_to", None))
     fit = lee_carter_fit(grid)
-    print(f"lee-carter: ages={len(complete)} years={years.size} "
+    print(f"lee-carter: ages={ages.size} years={years.size} "
           f"skipped_ages={skipped}")
     write_lee_carter_csv(out_dir / "age_profile.csv",
-                         out_dir / "period_index.csv",
-                         np.asarray(complete), years, fit)
+                         out_dir / "period_index.csv", ages, years, fit)
     _wrote(out_dir / "age_profile.csv")
     _wrote(out_dir / "period_index.csv")
     return 0

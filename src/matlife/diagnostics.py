@@ -91,54 +91,40 @@ class StepFunction:
     def n_jumps(self) -> int:
         return self.times.size
 
-    def _lookup(self, t, column: np.ndarray, before):
+    def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if column.size == 0:
-            out = np.full(t.shape, before)
+        if self.values.size == 0:
+            out = np.full(t.shape, self.initial)
         else:
             idx = np.searchsorted(self.times, t, side="right")
-            out = np.where(idx == 0, before, column[np.maximum(idx - 1, 0)])
+            out = np.where(idx == 0, self.initial,
+                           self.values[np.maximum(idx - 1, 0)])
         return float(out) if t.ndim == 0 else out
 
-    def __call__(self, t):
-        return self._lookup(t, self.values, self.initial)
 
-    def bound_at(self, t, which: str):
-        """Evaluate the lower or upper confidence bound as a step function."""
-        column = self.lower if which == "lower" else self.upper
-        if column is None:
-            raise InvalidInputError("step function carries no bounds")
-        return self._lookup(t, column, self.initial)
-
-
-def _risk_table(sample: CensoredSample):
+def _risk_table(z, delta, weight):
     """Unique times with death weight, censoring weight and at-risk weight.
 
     Deaths at a tied time are counted before censorings at that time.
     """
-    # aggregate() sorts by (z, delta) and merges ties, so a time holds at
-    # most one censored row followed by at most one death row
-    agg = sample.aggregate()
-    first = np.ones(agg.z.size, dtype=bool)
-    first[1:] = agg.z[1:] != agg.z[:-1]
-    times = agg.z[first]
-    pos = np.cumsum(first) - 1
-    dead = agg.delta == 1
-    d = np.zeros(times.size)
-    c = np.zeros(times.size)
-    d[pos[dead]] = agg.weight[dead]
-    c[pos[~dead]] = agg.weight[~dead]
+    times, pos = np.unique(z, return_inverse=True)
+    dead = delta == 1
+    d = np.bincount(pos, np.where(dead, weight, 0.0), times.size)
+    c = np.bincount(pos, np.where(dead, 0.0, weight), times.size)
     removed = np.concatenate([[0.0], np.cumsum(d + c)[:-1]])
-    n = sample.total_weight - removed
+    n = weight.sum() - removed
     return times, d, c, n
 
 
-def _coerce_survival_data(data) -> CensoredSample:
-    if isinstance(data, CensoredSample):
-        return data
+def _survival_columns(data):
+    """Times, censoring flags and weights of survival data or residuals; a
+    residual may be zero, which a CensoredSample (built for EM) refuses."""
     if isinstance(data, CoxSnellResiduals):
-        return data.as_sample()
-    return CensoredSample.coerce(data)
+        r = data.residual
+        checked = CensoredSample(np.where(r == 0, 1.0, r), data.delta, data.weight)
+        return r, checked.delta, checked.weight
+    sample = CensoredSample.coerce(data)
+    return sample.z, sample.delta, sample.weight
 
 
 def kaplan_meier(data) -> StepFunction:
@@ -148,8 +134,7 @@ def kaplan_meier(data) -> StepFunction:
     the estimate reaches zero both bounds collapse to zero.  A sample with
     no observed events yields a flagged estimator with no jumps.
     """
-    sample = _coerce_survival_data(data)
-    times, d, c, n = _risk_table(sample)
+    times, d, c, n = _risk_table(*_survival_columns(data))
     event = d > 0
     if not event.any():
         return StepFunction(np.empty(0), np.empty(0), initial=1.0,
@@ -172,8 +157,7 @@ def kaplan_meier(data) -> StepFunction:
 
 def nelson_aalen(data) -> StepFunction:
     """Cumulative-hazard estimator ``sum d_i/n_i`` with linear 95% bounds."""
-    sample = _coerce_survival_data(data)
-    times, d, c, n = _risk_table(sample)
+    times, d, c, n = _risk_table(*_survival_columns(data))
     event = d > 0
     if not event.any():
         return StepFunction(np.empty(0), np.empty(0), initial=0.0,
@@ -233,16 +217,16 @@ def cox_snell_residuals(model, data) -> CoxSnellResiduals:
         _, surv = ph_products(model.rep, z)
         delta, weight = sample.delta, sample.weight
     elif isinstance(model, IPHModel):
-        sample = _coerce_survival_data(data)
-        _, surv = ph_products(model.rep,
-                              model.transform.cumulative(sample.z))
-        delta, weight = sample.delta, sample.weight
+        z, delta, weight = _survival_columns(data)
+        _, surv = ph_products(model.rep, model.transform.cumulative(z))
     else:
         raise InvalidInputError("model must be a lifetime or regression model")
     if np.any(surv <= 0):
         bad = int(np.flatnonzero(surv <= 0)[0])
         raise DomainError(f"observation {bad} has zero fitted survival")
-    return CoxSnellResiduals(-np.log(surv), delta, weight)
+    # the fitted survival of a tiny time rounds to one or just above it; its
+    # residual is then 0.0 (0.0 - log 1 is 0.0, where -log 1 is -0.0)
+    return CoxSnellResiduals(0.0 - np.log(np.minimum(surv, 1.0)), delta, weight)
 
 
 class ICResult(NamedTuple):
@@ -267,25 +251,14 @@ def information_criteria(loglik: float, n_params: int, n_obs: int) -> ICResult:
     return ICResult(float(aic), float(bic), EFFECTIVE_DF_NOTE)
 
 
-def band_coverage(step: StepFunction, reference, grid: int | None = None) -> float:
-    """Fraction of the band's support where ``reference`` lies inside it.
-
-    With ``grid=None`` the check runs at the jump times; otherwise on a
-    uniform grid spanning the first to last jump.
-    """
+def band_coverage(step: StepFunction, reference) -> float:
+    """Fraction of the jump times where ``reference`` lies inside the band."""
     if step.lower is None or step.upper is None:
         raise InvalidInputError("step function carries no bounds")
     if step.n_jumps == 0:
         raise InvalidInputError("no jumps to measure coverage over")
-    if grid is None:
-        t = step.times
-        lo, up = step.lower, step.upper
-    else:
-        t = np.linspace(step.times[0], step.times[-1], int(grid))
-        lo = step.bound_at(t, "lower")
-        up = step.bound_at(t, "upper")
-    ref = np.asarray(reference(t), dtype=float)
-    inside = (lo <= ref) & (ref <= up)
+    ref = np.asarray(reference(step.times), dtype=float)
+    inside = (step.lower <= ref) & (ref <= step.upper)
     return float(inside.mean())
 
 

@@ -463,8 +463,10 @@ def fit_ph(data, spec: StructureSpec, config: EMConfig | None = None,
     likelihood factors anyway; the last is one :func:`loglik` call on the
     returned representation.
     """
-    sample = CensoredSample.coerce(data).aggregate()
     config = config or EMConfig()
+    if config.max_iterations < 0:
+        raise InvalidInputError("max_iterations must not be negative")
+    sample = CensoredSample.coerce(data).aggregate()
     rep = init if init is not None else init_structure(spec, rng)
     if rep.p != spec.p:
         raise InvalidInputError("initial representation order disagrees with spec")

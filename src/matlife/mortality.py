@@ -25,6 +25,7 @@ __all__ = [
     "MortalityCurve",
     "load_table",
     "combine_tables",
+    "log_rate_grid",
     "curve_from_table",
     "ImpliedSample",
     "implied_sample",
@@ -192,34 +193,68 @@ def load_table(source, kind: str = "rates", column: str = "Female") -> LifeTable
     return LifeTable(years, ages, **cols, dropped=np.count_nonzero(missing))
 
 
+def _last_rows(year, age):
+    """Index of the last row of each (year, age) pair, in (year, age) order."""
+    order = np.lexsort((age, year))
+    year, age = year[order], age[order]
+    last = np.ones(order.size, dtype=bool)
+    last[:-1] = (year[1:] != year[:-1]) | (age[1:] != age[:-1])
+    return order[last]
+
+
 def combine_tables(deaths: LifeTable, exposures: LifeTable) -> LifeTable:
     """Match death and exposure rows on (year, age) and form central rates.
 
-    Rows present in only one table, or with nonpositive exposure, are
-    dropped and counted.
+    Of a (year, age) pair repeated within one table, the last row counts.
+    Pairs present in only one table, or with nonpositive exposure, are
+    dropped and counted.  Rows come out in (year, age) order.
     """
-    dkey = {(y, a): v for y, a, v in zip(deaths.year, deaths.age, deaths.deaths)}
-    ekey = {(y, a): v for y, a, v in zip(exposures.year, exposures.age,
-                                         exposures.exposure)}
-    if not any(np.isfinite(v) for v in dkey.values()):
+    d_rows = _last_rows(deaths.year, deaths.age)
+    e_rows = _last_rows(exposures.year, exposures.age)
+    if not np.isfinite(deaths.deaths[d_rows]).any():
         raise InvalidInputError("first table carries no death counts")
-    if not any(np.isfinite(v) for v in ekey.values()):
+    if not np.isfinite(exposures.exposure[e_rows]).any():
         raise InvalidInputError("second table carries no exposures")
-    common = sorted(set(dkey) & set(ekey))
-    rows = []
-    dropped = deaths.dropped + exposures.dropped
-    dropped += len(set(dkey) ^ set(ekey))
-    for key in common:
-        d, e = dkey[key], ekey[key]
-        if not (np.isfinite(d) and np.isfinite(e)) or e <= 0 or d < 0:
-            dropped += 1
-            continue
-        rows.append((key[0], key[1], d, e))
-    if not rows:
+    # both row lists run in (year, age) order without repeats, so the stable
+    # merge puts a pair's death row right before its exposure row
+    year = np.concatenate([deaths.year[d_rows], exposures.year[e_rows]])
+    age = np.concatenate([deaths.age[d_rows], exposures.age[e_rows]])
+    order = np.lexsort((age, year))
+    year, age = year[order], age[order]
+    pair = np.flatnonzero((year[1:] == year[:-1]) & (age[1:] == age[:-1]))
+    d = deaths.deaths[d_rows[order[pair]]]
+    e = exposures.exposure[e_rows[order[pair + 1] - d_rows.size]]
+    usable = np.isfinite(d) & np.isfinite(e) & (e > 0) & (d >= 0)
+    if not usable.any():
         raise InvalidInputError("no usable (year, age) pairs in common")
-    arr = np.asarray(rows, dtype=float)
-    return LifeTable(arr[:, 0].astype(int), arr[:, 1].astype(int),
-                     arr[:, 2], arr[:, 3], arr[:, 2] / arr[:, 3], dropped)
+    dropped = (deaths.dropped + exposures.dropped + year.size - 2 * pair.size
+               + np.count_nonzero(~usable))
+    d, e, pair = d[usable], e[usable], pair[usable]
+    return LifeTable(year[pair], age[pair], d, e, d / e, dropped)
+
+
+def log_rate_grid(table: LifeTable, year_from: int | None = None,
+                  year_to: int | None = None):
+    """Ages, years, the (age by year) grid of log central rates that
+    :func:`lee_carter_fit` takes, and the count of ages skipped for a gap.
+
+    Rows whose rate is missing or not positive are left out, and of a
+    repeated (year, age) pair the last remaining row counts.  Only ages with
+    a rate in every selected year enter the grid; ages and years increase.
+    """
+    sub = table.select(year_from, year_to)
+    years = sub.years
+    ok = np.flatnonzero(np.isfinite(sub.mx) & (sub.mx > 0))
+    rows = ok[_last_rows(sub.year[ok], sub.age[ok])]
+    ages, index, count = np.unique(sub.age[rows], return_inverse=True,
+                                   return_counts=True)
+    complete = count == years.size
+    if not complete.any():
+        raise DomainError("no age has positive rates in every selected year")
+    # each selected year holds every complete age once, in age order
+    rates = sub.mx[rows[complete[index]]].reshape(years.size, -1)
+    grid = np.ascontiguousarray(np.log(rates).T)
+    return ages[complete], years, grid, ages.size - np.count_nonzero(complete)
 
 
 def _aggregate_rates(table: LifeTable, year_from, year_to):
@@ -473,6 +508,10 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
     from scipy.optimize import minimize
 
     config = config or DirectFitConfig()
+    if config.max_evals < 1:
+        raise InvalidInputError("max_evals must be at least one")
+    if config.restarts < 0:
+        raise InvalidInputError("restarts must not be negative")
     pairs = _normalize_curves(init, curves)
     pattern = _build_pattern(init)
     x0 = _pack(init, pattern)

@@ -8,7 +8,7 @@ and path simulation for conditional expectations.
 import numpy as np
 
 from matlife.em import SufficientStats
-from matlife.exceptions import TableParseError
+from matlife.exceptions import DomainError, InvalidInputError, TableParseError
 from matlife.mortality import LifeTable
 from matlife.phasetype import PHRepresentation
 
@@ -95,6 +95,50 @@ def aggregate_rates_by_age(table, year_from, year_to):
         else:
             m[i] = np.nanmean(sub.mx[rows])
     return ages, m
+
+
+def combine_tables_by_dicts(deaths, exposures):
+    """``mortality.combine_tables`` through one dict per table keyed on
+    (year, age) and a loop over the common keys (reference route)."""
+    dkey = {(y, a): v for y, a, v in zip(deaths.year, deaths.age, deaths.deaths)}
+    ekey = {(y, a): v for y, a, v in zip(exposures.year, exposures.age,
+                                         exposures.exposure)}
+    if not any(np.isfinite(v) for v in dkey.values()):
+        raise InvalidInputError("first table carries no death counts")
+    if not any(np.isfinite(v) for v in ekey.values()):
+        raise InvalidInputError("second table carries no exposures")
+    common = sorted(set(dkey) & set(ekey))
+    rows = []
+    dropped = deaths.dropped + exposures.dropped
+    dropped += len(set(dkey) ^ set(ekey))
+    for key in common:
+        d, e = dkey[key], ekey[key]
+        if not (np.isfinite(d) and np.isfinite(e)) or e <= 0 or d < 0:
+            dropped += 1
+            continue
+        rows.append((key[0], key[1], d, e))
+    if not rows:
+        raise InvalidInputError("no usable (year, age) pairs in common")
+    arr = np.asarray(rows, dtype=float)
+    return LifeTable(arr[:, 0].astype(int), arr[:, 1].astype(int),
+                     arr[:, 2], arr[:, 3], arr[:, 2] / arr[:, 3], dropped)
+
+
+def log_rate_grid_by_dicts(table, year_from=None, year_to=None):
+    """``mortality.log_rate_grid`` through a dict of the positive rates and
+    one membership test per (year, age) cell (reference route)."""
+    sub = table.select(year_from, year_to)
+    years = sub.years
+    lookup = {}
+    for y, a, v in zip(sub.year, sub.age, sub.mx):
+        if np.isfinite(v) and v > 0:
+            lookup[(y, a)] = v
+    ages = sorted({a for (_, a) in lookup})
+    complete = [a for a in ages if all((y, a) in lookup for y in years)]
+    if not complete:
+        raise DomainError("no age has positive rates in every selected year")
+    grid = np.array([[np.log(lookup[(y, a)]) for y in years] for a in complete])
+    return np.asarray(complete), years, grid, len(ages) - len(complete)
 
 
 def load_table_by_lines(source, kind="rates", column="Female"):

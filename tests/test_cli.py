@@ -151,6 +151,10 @@ class TestExitCodes:
         (["fit-pi", "{sample}", "--nm-budget", "-5"], 2, "--nm-budget"),
         (["fit-mortality", "{table}", "--nm-budget", "0"], 2, "--nm-budget"),
         (["fit-mortality", "{table}", "--nm-budget", "-5"], 2, "--nm-budget"),
+        (["fit-mortality", "{table}", "--max-evals", "0"], 2, "--max-evals"),
+        (["fit-mortality", "{table}", "--max-evals", "-5"], 2, "--max-evals"),
+        (["fit-mortality", "{table}", "--restarts", "-2"], 2, "--restarts"),
+        (["fit-ph", "{sample}", "--max-iter", "-3"], 2, "--max-iter"),
         (["simulate", "--model", "{model}", "--censor-mean", "-1"], 2,
          "--censor-mean"),
         (["simulate", "--model", "{model}", "--censor-mean", "0"], 2,
@@ -159,7 +163,9 @@ class TestExitCodes:
     ], ids=["max-outer", "zero-patience", "negative-patience", "em-iters",
             "fit-pi-zero-nm-budget",
             "fit-pi-negative-nm-budget", "fit-mortality-zero-nm-budget",
-            "fit-mortality-negative-nm-budget", "negative-censor-mean",
+            "fit-mortality-negative-nm-budget", "zero-max-evals",
+            "negative-max-evals", "negative-restarts", "negative-max-iter",
+            "negative-censor-mean",
             "zero-censor-mean", "tiny-study"])
     def test_rejected_settings_print_one_line(self, tmp_path, argv, code, names):
         # in a child process, so an uncaught exception would show as a
@@ -181,6 +187,43 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error: " if code == 2 else "numerical failure: ")
         assert names in lines[0]
+
+    @pytest.mark.parametrize("command,key,value,flag", [
+        ("fit-mortality", "max_evals", 0, "--max-evals"),
+        ("fit-mortality", "restarts", -1, "--restarts"),
+        ("fit-ph", "max_iter", -1, "--max-iter"),
+    ])
+    def test_rejected_budget_from_config_names_the_flag(
+            self, tmp_path, capsys, command, key, value, flag):
+        data = (write_rates_table(tmp_path / "t.txt", range(50, 55), [2000],
+                                  lambda a, y: 0.01)
+                if command == "fit-mortality" else write_sample_csv(tmp_path / "s.csv"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(command, data, "--config", cfg, "--out-dir", tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flag in err[0]
+
+    @pytest.mark.parametrize("argv", [["fit-mortality", "--restarts", "0"],
+                                      ["fit-ph", "--max-iter", "0"]])
+    def test_zero_budgets_stay_valid(self, tmp_path, argv):
+        data = (write_rates_table(tmp_path / "t.txt", range(50, 60), [2000],
+                                  lambda a, y: 0.01 * np.exp(0.08 * (a - 50)))
+                if argv[0] == "fit-mortality" else write_sample_csv(tmp_path / "s.csv"))
+        if argv[0] == "fit-mortality":
+            argv = [*argv, "--em-iters", "3", "--max-evals", "5"]
+        assert run(argv[0], data, *argv[1:], "--out-dir", tmp_path) == 0
+
+    def test_survival_of_one_diagnoses(self, tmp_path, capsys):
+        # the fitted survival at 1e-20 rounds to one, so its residual is zero
+        data = tmp_path / "d.csv"
+        data.write_text("time,status\n1e-20,1\n0.5,1\n1.0,0\n2.0,1\n")
+        assert run("fit-ph", data, "--order", 1, "--out-dir", tmp_path) == 0
+        assert run("diagnose", data, "--model", tmp_path / "model.json",
+                   "--out-dir", tmp_path) == 0
+        assert "error" not in capsys.readouterr().err
+        rows = (tmp_path / "residuals.csv").read_text().splitlines()
+        assert rows[1].split(",")[0] == "0"
 
     def test_covariate_count_mismatch(self, tmp_path):
         model_path = tmp_path / "model.json"

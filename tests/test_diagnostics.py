@@ -184,6 +184,28 @@ class TestCoxSnell:
         with pytest.raises(DomainError):
             cox_snell_residuals(model, CensoredSample([800.0], [1], [1.0]))
 
+    @pytest.mark.parametrize("t", [
+        [[-1.0]],
+        # fitted survival at 1e-20 is 1.0000000000000002 here
+        [[-3.7, 2.0, 0.7], [2.8, -3.7, 0.4], [1.9, 2.8, -5.2]],
+    ])
+    def test_survival_of_one_gives_a_zero_residual(self, t):
+        p = len(t)
+        model = IPHModel(PHRepresentation(np.full(p, 1.0 / p), t))
+        res = cox_snell_residuals(
+            model, CensoredSample([1e-20, 0.5, 2.0], [1, 0, 1], np.ones(3)))
+        assert res.residual[0] == 0.0 and not np.signbit(res.residual[0])
+        for step in (kaplan_meier(res), nelson_aalen(res)):
+            assert list(step.times[:1]) == [0.0]
+        assert_allclose(kaplan_meier(res).values[0], 2.0 / 3.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("r", [-0.1, np.nan, np.inf])
+    def test_estimators_refuse_bad_residuals(self, r):
+        res = CoxSnellResiduals([r, 1.0], [1, 1], [1.0, 1.0])
+        for estimator in (kaplan_meier, nelson_aalen):
+            with pytest.raises(InvalidInputError):
+                estimator(res)
+
 
 class TestInformationCriteria:
     def test_exact_arithmetic(self):

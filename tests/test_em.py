@@ -528,6 +528,11 @@ class TestFit:
             fit_ph(CensoredSample([1.0], [1], [1.0]), StructureSpec("general", 2),
                    init=rep)
 
+    def test_negative_iteration_budget_rejected(self):
+        with pytest.raises(InvalidInputError, match="max_iterations"):
+            fit_ph(CensoredSample([1.0], [1], [1.0]), StructureSpec("general", 1),
+                   EMConfig(max_iterations=-3), rng=np.random.default_rng(0))
+
     @staticmethod
     def censored_sample(seed, n=200):
         rng = np.random.default_rng(seed)

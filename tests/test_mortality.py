@@ -19,13 +19,19 @@ from matlife.mortality import (
     implied_sample,
     lee_carter_fit,
     load_table,
+    log_rate_grid,
     model_log_mortality,
     select_order,
 )
 from matlife.phasetype import IPHModel, PHRepresentation
 from matlife.regression import PIModel
 
-from helpers import aggregate_rates_by_age, load_table_by_lines
+from helpers import (
+    aggregate_rates_by_age,
+    combine_tables_by_dicts,
+    load_table_by_lines,
+    log_rate_grid_by_dicts,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -287,6 +293,74 @@ class TestCombine:
         assert c.n == 6210 and c.dropped == 12
 
 
+_CELLS = [np.nan, np.inf, -1.0, -0.0, 0.0, 1e-3, 0.5, 2.0, 40.0]
+
+
+@st.composite
+def _keyed_tables(draw, column):
+    """A life table with ``column`` drawn and the other value columns NaN:
+    few years and ages, so pairs repeat and overlap between tables."""
+    n = draw(st.integers(1, 40))
+    year = draw(st.lists(st.integers(2000, 2002), min_size=n, max_size=n))
+    age = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    cols = dict.fromkeys(("deaths", "exposure", "mx"), np.full(n, np.nan))
+    cols[column] = draw(st.lists(st.sampled_from(_CELLS), min_size=n, max_size=n))
+    return LifeTable(year, age, **cols, dropped=draw(st.integers(0, 3)))
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (InvalidInputError, DomainError) as err:
+        return type(err), str(err)
+
+
+def _assert_same_grid(got, want):
+    """Equal ages and years, the grid bitwise, equal skipped-age counts."""
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got[3] == want[3]
+
+
+class TestKeyedParity:
+    """``combine_tables`` and ``log_rate_grid`` against the dict routes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_keyed_tables("deaths"), _keyed_tables("exposure"))
+    def test_combine_matches_dicts(self, deaths, exposures):
+        got = _result_or_error(combine_tables, deaths, exposures)
+        want = _result_or_error(combine_tables_by_dicts, deaths, exposures)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_table(got, want)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_keyed_tables("mx"), st.sampled_from([None, 2001]),
+           st.sampled_from([None, 2001, 1999]))
+    def test_grid_matches_dicts(self, table, year_from, year_to):
+        got = _result_or_error(log_rate_grid, table, year_from, year_to)
+        want = _result_or_error(log_rate_grid_by_dicts, table, year_from, year_to)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+        else:
+            _assert_same_grid(got, want)
+
+    def test_fixtures_match_dicts(self):
+        deaths = load_table(DATA / "synthetic_Deaths_1x1.txt", kind="deaths",
+                            column="Male")
+        expo = load_table(DATA / "synthetic_Exposures_1x1.txt",
+                          kind="exposures", column="Male")
+        combined = combine_tables(deaths, expo)
+        _assert_same_table(combined, combine_tables_by_dicts(deaths, expo))
+        rates = load_table(DATA / "synthetic_Mx_1x1.txt")
+        for table, years in ((rates, (None, None)), (rates, (1990, 1995)),
+                             (combined, (None, None))):
+            _assert_same_grid(log_rate_grid(table, *years),
+                              log_rate_grid_by_dicts(table, *years))
+
+
 class TestCurve:
     def test_exposure_weighted_aggregation(self):
         t = LifeTable([2000, 2001, 2000, 2001], [60, 60, 61, 61],
@@ -457,6 +531,17 @@ class TestDirectFit:
         curve = MortalityCurve(ages, model_log_mortality(true, ages))
         res = direct_fit(true, curve, DirectFitConfig(max_evals=200, restarts=0))
         assert res.loss < 1e-12
+
+    @pytest.mark.parametrize("config,name", [
+        (DirectFitConfig(max_evals=0), "max_evals"),
+        (DirectFitConfig(max_evals=-5), "max_evals"),
+        (DirectFitConfig(restarts=-2), "restarts"),
+    ])
+    def test_empty_budgets_rejected(self, config, name):
+        true = two_state_gompertz()
+        curve = MortalityCurve([0, 50], model_log_mortality(true, [0, 50]))
+        with pytest.raises(InvalidInputError, match=name):
+            direct_fit(true, curve, config)
 
     def test_perturbed_start_recovers_representable_curve(self):
         true = two_state_gompertz()
@@ -632,6 +717,17 @@ class TestLeeCarter:
         # rank-one structure captures nearly all variation
         resid = grid - fit.reconstruct()
         assert resid.var() < 0.01 * grid.var()
+
+    def test_grid_is_the_transposed_curve_stack(self):
+        table = load_table(DATA / "synthetic_Mx_1x1.txt")
+        ages, years, grid, skipped = log_rate_grid(table, 2000, 2005)
+        stack = np.array([curve_from_table(table, y, y).log_mortality
+                          for y in range(2000, 2006)])
+        assert list(years) == list(range(2000, 2006)) and skipped == 0
+        assert grid.tobytes() == np.ascontiguousarray(stack.T).tobytes()
+        assert np.array_equal(ages, curve_from_table(table, 2000, 2005).ages)
+        fit = lee_carter_fit(grid)
+        assert fit.k.shape == (6,) and fit.a.shape == fit.b.shape == (ages.size,)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
