@@ -142,7 +142,9 @@ def kaplan_meier(data) -> StepFunction:
                             upper=np.empty(0),
                             note="all observations censored; no jumps")
     te, de, ne = times[event], d[event], n[event]
-    surv = np.cumprod(1.0 - de / ne)
+    # all remaining die where the at-risk weight is down to the death weight,
+    # or by rounding below it, so the factor is exactly zero, never negative
+    surv = np.cumprod(np.where(ne > de, 1.0 - de / ne, 0.0))
     with np.errstate(divide="ignore"):
         var_log = np.cumsum(np.where(ne > de, de / (ne * (ne - de)), np.inf))
     sd = np.sqrt(var_log)
@@ -199,9 +201,6 @@ class CoxSnellResiduals:
         weighted mean of the result is one.
         """
         return np.where(self.delta == 1, self.residual, self.residual + 1.0)
-
-    def as_sample(self) -> CensoredSample:
-        return CensoredSample(self.residual, self.delta, self.weight)
 
 
 def cox_snell_residuals(model, data) -> CoxSnellResiduals:

@@ -27,10 +27,10 @@ __all__ = [
 
 def _positive_param(value, name: str):
     """``value`` as a float, or a float array for one parameter per point."""
-    value = np.asarray(value, dtype=float)[()]
-    if not np.all(np.isfinite(value)) or np.any(value <= 0):
+    value = np.asarray(value, dtype=float)
+    if not ((value > 0) & (value < np.inf)).all():
         raise InvalidInputError(f"{name} must be positive and finite")
-    return value
+    return value[()]
 
 
 class GompertzTransform:

@@ -51,26 +51,35 @@ def validate_sub_intensity(t: np.ndarray) -> np.ndarray:
     off-diagonal entries, row sums at most zero, and absorption reachable from
     every state (all eigenvalues in the open left half-plane).  Negative dust
     below 1e-12 (relative) on the off-diagonal is zeroed rather than rejected.
+    The eigenvalues come from one ``np.linalg.eig`` (see :func:`_decomposed`),
+    the decomposition a :class:`PHRepresentation` keeps for its spectrum.
     """
+    return _decomposed(t)[0]
+
+
+def _decomposed(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`validate_sub_intensity`'s checked copy of ``t`` with the
+    eigenvalues and eigenvectors of its one ``np.linalg.eig``, from which the
+    reachability check reads."""
     t = np.array(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise InvalidInputError(f"sub-intensity must be square, got {t.shape}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise InvalidInputError("sub-intensity contains non-finite entries")
-    p = t.shape[0]
     scale = max(1.0, np.abs(t).max())
-    off = t[~np.eye(p, dtype=bool)]
-    if np.any(off < -_DUST * scale):
+    off = ~np.eye(t.shape[0], dtype=bool)
+    rates = t[off]
+    if (rates < -_DUST * scale).any():
         raise InvalidInputError("off-diagonal rates must be nonnegative")
-    t[~np.eye(p, dtype=bool)] = np.clip(off, 0.0, None)
-    if np.any(np.diag(t) >= 0):
+    t[off] = np.maximum(rates, 0.0)
+    if (t.diagonal() >= 0).any():
         raise InvalidInputError("diagonal entries must be strictly negative")
-    rowsum = t.sum(axis=1)
-    if np.any(rowsum > _DUST * scale):
+    if (t.sum(axis=1) > _DUST * scale).any():
         raise InvalidInputError("row sums must not exceed zero")
-    if np.max(np.linalg.eigvals(t).real) >= 0:
+    eigvals, eigvecs = np.linalg.eig(t)
+    if eigvals.real.max() >= 0:
         raise InvalidInputError("absorption must be reachable from every state")
-    return t
+    return t, eigvals, eigvecs
 
 
 class Spectrum(NamedTuple):
@@ -127,26 +136,34 @@ def _conjugate_pairs(eigvals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class PHRepresentation:
-    """Initial distribution and sub-intensity matrix of an absorbing chain."""
+    """Initial distribution and sub-intensity matrix of an absorbing chain.
+
+    Construction validates ``T`` through one ``np.linalg.eig``, whose
+    eigenvalues and eigenvectors (``_eig``) serve the reachability check,
+    the spectrum and the tail."""
 
     pi: np.ndarray
     T: np.ndarray
+    _eig: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         pi = np.array(self.pi, dtype=float).ravel()
-        t = validate_sub_intensity(self.T)
+        t, eigvals, eigvecs = _decomposed(self.T)
         if pi.shape[0] != t.shape[0]:
             raise InvalidInputError("pi and T dimensions disagree")
-        if np.any(pi < -_DUST):
+        if (pi < -_DUST).any():
             raise InvalidInputError("initial probabilities must be nonnegative")
-        pi = np.clip(pi, 0.0, None)
-        if abs(pi.sum() - 1.0) > 1e-12:
+        pi = np.maximum(pi, 0.0)
+        total = pi.sum()
+        if abs(total - 1.0) > 1e-12:
             raise InvalidInputError("initial probabilities must sum to one")
-        pi = pi / pi.sum()
-        pi.setflags(write=False)
-        t.setflags(write=False)
+        pi = pi / total
+        for arr in (pi, t, eigvals, eigvecs):
+            arr.setflags(write=False)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "T", t)
+        object.__setattr__(self, "_eig", (eigvals, eigvecs))
 
     @property
     def p(self) -> int:
@@ -159,11 +176,14 @@ class PHRepresentation:
     @cached_property
     def _spectrum(self) -> Spectrum | None:
         """Eigen-factors of ``T`` shared by :func:`ph_products`, the E-step
-        and :meth:`IPHModel.residual_lifetime`, computed on first use;
-        ``None`` when cond(V) reaches
-        :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`."""
-        eigvals, eigvecs = np.linalg.eig(self.T)
-        if np.linalg.cond(eigvecs) >= PRODUCTS_COND_LIMIT:
+        and :meth:`IPHModel.residual_lifetime`, computed on first use from
+        the eigendecomposition run once at construction; ``None`` when
+        cond(V) reaches :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`."""
+        eigvals, eigvecs = self._eig
+        # cond(V) as np.linalg.cond takes it, the ratio of the extreme
+        # singular values; a singular V leaves the spectral route
+        sv = np.linalg.svd(eigvecs, compute_uv=False).tolist()
+        if sv[-1] == 0.0 or sv[0] / sv[-1] >= PRODUCTS_COND_LIMIT:
             return None
         start = self.pi @ eigvecs
         vinv = np.linalg.inv(eigvecs)
@@ -298,10 +318,10 @@ def tail_params(t: np.ndarray) -> TailParams:
 
     The survival tail behaves like ``z**(n-1) * exp(-eta * z)`` where ``-eta``
     is the dominant eigenvalue of ``T`` and ``n`` its algebraic multiplicity
-    (counted within a relative tolerance).
+    (counted within a relative tolerance).  ``t`` is validated and
+    decomposed once.
     """
-    t = validate_sub_intensity(np.asarray(t, dtype=float))
-    eig = np.linalg.eigvals(t)
+    eig = _decomposed(t)[1]
     top = eig.real.max()
     mult = int(np.sum(eig.real >= top - 1e-8 * max(1.0, abs(top))))
     return TailParams(-top, mult)
@@ -312,9 +332,10 @@ def tail_hazard_constant(rep: PHRepresentation) -> float:
 
     Evaluated at a point deep in the tail; the point is pulled back toward
     zero if the initial vector misses the slowest mode entirely and the
-    denominator underflows.
+    denominator underflows.  The decay rate ``eta`` of :func:`tail_params`
+    comes from the eigenvalues ``rep`` computed at construction.
     """
-    eta = tail_params(rep.T).decay_rate
+    eta = -rep._eig[0].real.max()
     z = 600.0 / eta
     for _ in range(60):
         dens, surv = ph_products(rep, np.asarray([z]))
@@ -326,7 +347,7 @@ def tail_hazard_constant(rep: PHRepresentation) -> float:
 
 def _ages(y) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(y < 0) or not np.all(np.isfinite(y)):
+    if (y < 0).any() or not np.isfinite(y).all():
         raise InvalidInputError("evaluation points must be finite and nonnegative")
     return y
 

@@ -9,8 +9,16 @@ import numpy as np
 
 from matlife.em import SufficientStats
 from matlife.exceptions import DomainError, InvalidInputError, TableParseError
+from matlife.linalg import PRODUCTS_COND_LIMIT
 from matlife.mortality import LifeTable
-from matlife.phasetype import PHRepresentation
+from matlife.phasetype import (
+    SURVIVAL_FLOOR,
+    Evaluation,
+    PHRepresentation,
+    Spectrum,
+    _conjugate_pairs,
+    ph_products,
+)
 
 
 def taylor_expm(a, terms=60):
@@ -240,6 +248,57 @@ def rotating_representation(p, pairs, seed=0):
     if np.count_nonzero(np.linalg.eigvals(rep.T).imag > 0) != pairs:
         raise ValueError("generator lost or gained a complex pair")
     return rep
+
+
+def spectrum_by_fresh_eig(rep):
+    """``rep._spectrum`` from a decomposition of its own: a fresh
+    ``np.linalg.eig(rep.T)`` tested with ``np.linalg.cond`` (reference for
+    the spectrum built from the constructor's decomposition)."""
+    eigvals, eigvecs = np.linalg.eig(rep.T)
+    if np.linalg.cond(eigvecs) >= PRODUCTS_COND_LIMIT:
+        return None
+    start = rep.pi @ eigvecs
+    vinv = np.linalg.inv(eigvecs)
+    return Spectrum(eigvals, eigvecs, vinv, start,
+                    start * (vinv @ rep.exit_rates), start * vinv.sum(axis=1),
+                    *_conjugate_pairs(eigvals, eigvecs))
+
+
+def evaluate_by_fresh_eig(model, y):
+    """``model.evaluate(y)`` with ``T`` decomposed apart from the
+    representation: the products run on :func:`spectrum_by_fresh_eig` and
+    the tail constant's decay rate comes from ``np.linalg.eigvals(T)``
+    (reference for the evaluation on the constructor's decomposition)."""
+    rep = model.rep
+    twin = PHRepresentation(rep.pi, rep.T)
+    twin.__dict__["_spectrum"] = spectrum_by_fresh_eig(rep)
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if np.any(y_arr < 0) or not np.all(np.isfinite(y_arr)):
+        raise InvalidInputError("evaluation points must be finite and nonnegative")
+    dens_ph, surv = ph_products(twin, model.transform.cumulative(y_arr))
+    lam = model.transform.intensity(y_arr)
+    with np.errstate(invalid="ignore"):
+        density = np.where(dens_ph == 0.0, 0.0, lam * dens_ph)
+    extrapolated = surv < SURVIVAL_FLOOR
+    hazard = np.empty_like(surv)
+    ok = ~extrapolated
+    hazard[ok] = density[ok] / surv[ok]
+    if extrapolated.any():
+        z = 600.0 / -np.max(np.linalg.eigvals(rep.T).real)
+        for _ in range(60):
+            tail_dens, tail_surv = ph_products(twin, np.asarray([z]))
+            if tail_surv[0] > 1e-290:
+                break
+            z *= 0.5
+        else:
+            raise DomainError("could not find a representable tail point")
+        hazard[extrapolated] = float(tail_dens[0] / tail_surv[0]) * lam[extrapolated]
+    with np.errstate(divide="ignore"):
+        cum_hazard = -np.log(surv)
+    if np.isscalar(y) or np.ndim(y) == 0:
+        return Evaluation(density[0], surv[0], hazard[0], cum_hazard[0],
+                          bool(extrapolated[0]))
+    return Evaluation(density, surv, hazard, cum_hazard, extrapolated)
 
 
 def unfolded_products(spectrum, z):

@@ -101,6 +101,16 @@ class TestKaplanMeier:
         assert_allclose(km.times, [1.0, 2.0])
         assert_allclose(km.values, [2.0 / 3.0, 0.0], rtol=1e-15)
 
+    def test_at_risk_weight_rounded_below_death_weight(self):
+        # at t = 7 the at-risk weight n - d - c rounds to -4.4e-16 below the
+        # death weight; every remaining unit dies there, so S is exactly 0
+        km = kaplan_meier(CensoredSample(
+            [1.0, 1.5, 2.25, 3.0, 3.0, 7.0], [0, 1, 0, 0, 1, 1],
+            [5 / 3, 1 / 3, 0.8666666666666666, 8.166666666666668, 1.1, 1.1]))
+        assert np.all((km.values >= 0) & (km.values <= 1))
+        assert km.values[-1] == 0.0
+        assert km.lower[-1] == km.upper[-1] == km.variance[-1] == 0.0
+
     def test_weights_equal_replication(self):
         tied = CensoredSample([1.0, 1.0, 2.0, 3.0], [1, 1, 0, 1], np.ones(4))
         weighted = CensoredSample([1.0, 2.0, 3.0], [1, 0, 1], [2.0, 1.0, 1.0])

@@ -1,6 +1,8 @@
 """Tests for the lifetime distribution layer: transforms, evaluation,
 sampling, moments, conditioning, closed forms and tail behaviour."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,9 +35,11 @@ from matlife.phasetype import (
 )
 
 from helpers import (
+    evaluate_by_fresh_eig,
     random_representation,
     random_sub_intensity,
     rotating_representation,
+    spectrum_by_fresh_eig,
     taylor_expm,
     unfolded_products,
 )
@@ -115,21 +119,36 @@ class TestTransforms:
             assert tr.log_intensity(y)[k] == one.log_intensity(y[k])
 
 
+#: invalid sub-intensity matrices and the message each is rejected with
+BAD_SUB_INTENSITIES = [
+    ([[1.0]], "diagonal entries must be strictly negative"),
+    ([[-1.0, -0.5], [0.0, -1.0]], "off-diagonal rates must be nonnegative"),
+    ([[-1.0, 2.0], [0.0, -1.0]], "row sums must not exceed zero"),
+    ([[-1.0, 1.0], [1.0, -1.0]], "absorption must be reachable from every state"),
+    ([[-1.0, 0.0, 0.0]], "sub-intensity must be square, got (1, 3)"),
+    ([[-1.0, np.nan], [0.0, -1.0]], "sub-intensity contains non-finite entries"),
+]
+
+
 class TestValidation:
     def test_accepts_valid(self):
         t = validate_sub_intensity([[-2.0, 1.0], [0.5, -1.0]])
         assert t.shape == (2, 2)
 
-    @pytest.mark.parametrize("bad", [
-        [[1.0]],                             # positive diagonal
-        [[-1.0, -0.5], [0.0, -1.0]],         # negative off-diagonal
-        [[-1.0, 2.0], [0.0, -1.0]],          # row sum above zero
-        [[-1.0, 1.0], [1.0, -1.0]],          # absorption unreachable
-        [[-1.0, 0.0, 0.0]],                  # not square
-    ])
+    @pytest.mark.parametrize("bad", BAD_SUB_INTENSITIES)
     def test_rejects_invalid(self, bad):
-        with pytest.raises(InvalidInputError):
-            validate_sub_intensity(bad)
+        t, message = bad
+        with pytest.raises(InvalidInputError) as caught:
+            validate_sub_intensity(t)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("bad", BAD_SUB_INTENSITIES)
+    def test_representation_rejects_alike(self, bad):
+        t, message = bad
+        with pytest.raises(InvalidInputError) as caught:
+            PHRepresentation(np.full(len(t), 1.0 / len(t)), t)
+        assert type(caught.value) is InvalidInputError
+        assert str(caught.value) == message
 
     def test_representation_checks_pi(self):
         t = [[-1.0]]
@@ -374,6 +393,88 @@ class TestTail:
         y_far = model.transform.inverse_cumulative(z_far)
         ratio = model.hazard(y_far) / model.transform.intensity(y_far)
         assert_allclose(ratio, c, rtol=1e-6)
+
+
+def erlang(p, rate=1.0):
+    """Erlang chain of order ``p``; its eigenvector matrix is singular to
+    working precision, and exactly singular from ``p = 21`` on."""
+    return PHRepresentation(np.eye(p)[0], rate * (np.eye(p, k=1) - np.eye(p)))
+
+
+class TestOneDecomposition:
+    """Each representation decomposes ``T`` once, at construction, and the
+    validation, the spectrum and the tail all read that decomposition."""
+
+    def test_one_eig_per_representation(self, monkeypatch):
+        calls = {"eig": 0, "eigvals": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        rep = rotating_representation(5, 1)
+        calls.update(eig=0, eigvals=0)
+        rep = PHRepresentation(rep.pi, rep.T)
+        assert calls == {"eig": 1, "eigvals": 0}
+        assert rep._spectrum is not None
+        ph_products(rep, [0.0, 1.5, np.inf])
+        ev = IPHModel(rep, GompertzTransform(1.0)).evaluate([0.0, 2.0, 30.0])
+        assert ev.extrapolated.tolist() == [False, False, True]
+        tail_hazard_constant(rep)
+        assert calls == {"eig": 1, "eigvals": 0}
+
+    @staticmethod
+    def drawn_representation(kind, p, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "rotating":
+            return rotating_representation(3 * p, 1 + (p > 1), seed)
+        if kind == "near-equal":
+            # rate gaps on both sides of the cond(V) limit
+            gap = 10.0 ** -rng.uniform(2.0, 9.0)
+            return CoxianSpec(1.0 + gap * np.arange(p + 1),
+                              np.full(p, 0.9)).to_representation()
+        return random_representation(rng, p, kind)
+
+    @given(kind=st.sampled_from(["general", "coxian", "rotating", "near-equal"]),
+           p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_spectrum_matches_fresh_eig(self, kind, p, seed):
+        rep = self.drawn_representation(kind, p, seed)
+        want = spectrum_by_fresh_eig(rep)
+        got = rep._spectrum
+        assert (got is None) == (want is None)
+        if got is not None:
+            for name, g, w in zip(want._fields, got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+    @given(kind=st.sampled_from(["general", "coxian", "rotating", "near-equal"]),
+           p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           clock=st.sampled_from([IdentityTransform(), GompertzTransform(0.3),
+                                  WeibullTransform(2.5)]))
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_matches_fresh_eig(self, kind, p, seed, clock):
+        model = IPHModel(self.drawn_representation(kind, p, seed), clock)
+        # y = 0, ordinary ages and ages past survival underflow
+        for y in (0.0, 1.3, [0.0, 0.5, 2.0, 9.0, 400.0, 2000.0, 1e5]):
+            got, want = model.evaluate(y), evaluate_by_fresh_eig(model, y)
+            for name, g, w in zip(want._fields, got, want):
+                assert type(g) is type(w), name
+                assert np.array_equal(g, w), name
+        assert got.extrapolated[-1]
+
+    @pytest.mark.parametrize("p", [2, 3, 21])
+    def test_ill_conditioned_or_singular_basis_takes_route_b(self, p):
+        rep = erlang(p)
+        singular_values = np.linalg.svd(np.linalg.eig(rep.T)[1], compute_uv=False)
+        if p == 21:
+            assert singular_values[-1] == 0.0
+        else:
+            assert singular_values[0] >= PRODUCTS_COND_LIMIT * singular_values[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rep._spectrum is None
+            dens, surv = ph_products(rep, [0.0, 1.0, 5.0])
+        assert surv[0] == 1.0 and np.all(surv > 0) and np.all(dens >= 0)
 
 
 class TestCoxian:
