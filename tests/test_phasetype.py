@@ -395,10 +395,10 @@ class TestTail:
         assert_allclose(ratio, c, rtol=1e-6)
 
 
-def erlang(p, rate=1.0):
-    """Erlang chain of order ``p``; its eigenvector matrix is singular to
-    working precision, and exactly singular from ``p = 21`` on."""
-    return PHRepresentation(np.eye(p)[0], rate * (np.eye(p, k=1) - np.eye(p)))
+def erlang(p):
+    """Unit-rate Erlang chain of order ``p``; its eigenvector matrix is
+    singular to working precision, and exactly singular from ``p = 21`` on."""
+    return PHRepresentation(np.eye(p)[0], np.eye(p, k=1) - np.eye(p))
 
 
 class TestOneDecomposition:
