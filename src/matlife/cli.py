@@ -212,13 +212,13 @@ def _prepare(resolve) -> tuple[pathlib.Path, np.random.Generator]:
     return out_dir, rng
 
 
-def _at_least(value, flag: str, low: int = 1) -> int:
-    """``value`` as an int, or :class:`InvalidInputError` naming ``flag``
-    when it is below ``low``."""
-    value = int(value)
-    if value < low:
-        raise InvalidInputError(f"{flag} must be at least {low}")
-    return value
+def _at_least(value, flag: str, low: int = 1, kind=int):
+    """``value`` as a ``kind`` (``int`` or ``float``), or
+    :class:`InvalidInputError` naming ``flag`` when it is below ``low`` or
+    not finite."""
+    if not low <= float(value) < np.inf:
+        raise InvalidInputError(f"{flag} must be finite and at least {low}")
+    return kind(value)
 
 
 def _wrote(path: pathlib.Path) -> None:
@@ -236,7 +236,7 @@ def _cmd_fit_ph(args) -> int:
     spec = StructureSpec(resolve("structure", "general"),
                          int(resolve("order", 2)))
     config = EMConfig(_at_least(resolve("max_iter", 2000), "--max-iter", 0),
-                      float(resolve("tol", 1e-7)))
+                      _at_least(resolve("tol", 1e-7), "--tol", 0, float))
     result = fit_ph(sample, spec, config, rng=rng)
     model = IPHModel(result.rep)
     print(f"fit-ph: n={sample.n} loglik={result.loglik:.6f} "
@@ -256,7 +256,7 @@ def _cmd_fit_pi(args) -> int:
                          int(resolve("order", 2)))
     config = PIFitConfig(
         max_outer=_at_least(resolve("max_outer", 200), "--max-outer"),
-        tol=float(resolve("tol", 1e-6)),
+        tol=_at_least(resolve("tol", 1e-6), "--tol", 0, float),
         patience=_at_least(resolve("patience", 5), "--patience"),
         nm_budget=_at_least(resolve("nm_budget", STEP_BUDGET), "--nm-budget"),
         shape_covariates=bool(resolve("shape_covariates", False)))
@@ -301,7 +301,7 @@ def _cmd_fit_mortality(args) -> int:
     structure = resolve("structure", "generalized_coxian")
     em_config = PIFitConfig(
         max_outer=_at_least(resolve("em_iters", 200), "--em-iters"),
-        tol=float(resolve("em_tol", 1e-8)),
+        tol=_at_least(resolve("em_tol", 1e-8), "--em-tol", 0, float),
         patience=10,
         nm_budget=_at_least(resolve("nm_budget", STEP_BUDGET), "--nm-budget"))
     em_fit = fit_pi(sample.as_regression_sample(), StructureSpec(structure, order),

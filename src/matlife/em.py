@@ -20,8 +20,10 @@ exponential.
 
 The denominators of the E-step are the likelihood factors of its
 representation, so the E-step also yields that representation's
-log-likelihood (``SufficientStats.loglik``); :func:`fit_ph` takes its
-trace from there and evaluates :func:`loglik` only after the last M-step.
+log-likelihood (``SufficientStats.loglik``).  :func:`fit_ph` and
+:func:`~matlife.regression.fit_pi` share one EM loop, :func:`_run_em`;
+``fit_ph`` takes its trace from the E-step and evaluates :func:`loglik`
+only after the last M-step, and ``fit_pi`` adds a coefficient step.
 """
 
 from __future__ import annotations
@@ -461,41 +463,56 @@ def fit_ph(data, spec: StructureSpec, config: EMConfig | None = None,
     iteration; it is non-decreasing up to floating-point noise.  Each entry
     but the last comes from the E-step on that iterate, which forms the
     likelihood factors anyway; the last is one :func:`loglik` call on the
-    returned representation.
+    returned representation.  Stops after ``max_iterations`` or at the first
+    relative change below ``tol`` (finite, at least zero).
     """
     config = config or EMConfig()
     if config.max_iterations < 0:
         raise InvalidInputError("max_iterations must not be negative")
     sample = CensoredSample.coerce(data).aggregate()
+
+    def advance(rep, k):
+        # the E-step of the next iteration, or only the likelihood after the last
+        if k == config.max_iterations:
+            return loglik(rep, sample), None
+        stats = e_step(rep, sample)
+        return stats.loglik, lambda: stats
+
+    result = _run_em(spec, init, rng, sample.total_weight, config.max_iterations,
+                     config.tol, 1, advance, advance)
+    if result.converged and result.iterations < config.max_iterations:
+        result.loglik_trace[-1] = loglik(result.rep, sample)
+    return result
+
+
+def _run_em(spec: StructureSpec, init: PHRepresentation | None, rng,
+            total_weight: float, max_iterations: int, tol: float, patience: int,
+            start, advance) -> FitResult:
+    """The EM loop of :func:`fit_ph` and :func:`~matlife.regression.fit_pi`.
+
+    ``start(rep, 0)`` gets the start and ``advance(rep, k)`` the iterate of
+    M-step ``k``; each returns a trace value (``None`` records none) and a
+    callable giving the next E-step's statistics, called only if the loop
+    goes on.  Stops after ``max_iterations`` M-steps or once ``patience``
+    consecutive trace pairs differ by less than ``tol`` relative.
+    """
+    if not 0 <= tol < np.inf:
+        raise InvalidInputError("tol must be finite and at least zero")
     rep = init if init is not None else init_structure(spec, rng)
     if rep.p != spec.p:
         raise InvalidInputError("initial representation order disagrees with spec")
-    total = sample.total_weight
-
-    def evaluate(rep, last):
-        # the E-step of the next iteration, or only the likelihood after the last
-        if last:
-            return None, loglik(rep, sample)
-        stats = e_step(rep, sample)
-        return stats, stats.loglik
-
-    stats, value = evaluate(rep, config.max_iterations == 0)
-    trace = [value]
-    dead_events = 0
-    converged = False
-    iterations = 0
-    while iterations < config.max_iterations:
-        n_dead = int(np.sum(stats.v <= DEAD_STATE_TOL * max(1.0, total)))
-        rep = m_step(stats, total, spec, previous=rep)
-        dead_events += n_dead
+    value, pending = start(rep, 0)
+    trace = [] if value is None else [value]
+    dead_events = iterations = streak = 0
+    while iterations < max_iterations and streak < patience:
+        stats = pending()
+        dead_events += int(np.sum(stats.v <= DEAD_STATE_TOL * max(1.0, total_weight)))
+        rep = m_step(stats, total_weight, spec, previous=rep)
         iterations += 1
-        last = iterations == config.max_iterations
-        stats, value = evaluate(rep, last)
+        value, pending = advance(rep, iterations)
         trace.append(value)
-        rel = abs(trace[-1] - trace[-2]) / max(1e-10, abs(trace[-1]))
-        if rel < config.tol:
-            converged = True
-            if not last:
-                trace[-1] = loglik(rep, sample)
-            break
-    return FitResult(rep, np.asarray(trace), converged, iterations, dead_events)
+        if len(trace) >= 2:
+            rel = abs(trace[-1] - trace[-2]) / max(1e-10, abs(trace[-1]))
+            streak = streak + 1 if rel < tol else 0
+    return FitResult(rep, np.asarray(trace), streak >= patience, iterations,
+                     dead_events)

@@ -47,10 +47,11 @@ _DUST = 1e-12
 def validate_sub_intensity(t: np.ndarray) -> np.ndarray:
     """Check that ``t`` is a valid sub-intensity matrix and return it.
 
-    Requirements: square and finite, strictly negative diagonal, nonnegative
-    off-diagonal entries, row sums at most zero, and absorption reachable from
-    every state (all eigenvalues in the open left half-plane).  Negative dust
-    below 1e-12 (relative) on the off-diagonal is zeroed rather than rejected.
+    Requirements: square, nonempty and finite, strictly negative diagonal,
+    nonnegative off-diagonal entries, row sums at most zero, and absorption
+    reachable from every state (all eigenvalues in the open left half-plane).
+    Negative dust below 1e-12 (relative) on the off-diagonal is zeroed rather
+    than rejected.
     The eigenvalues come from one ``np.linalg.eig`` (see :func:`_decomposed`),
     the decomposition a :class:`PHRepresentation` keeps for its spectrum.
     """
@@ -64,6 +65,8 @@ def _decomposed(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = np.array(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise InvalidInputError(f"sub-intensity must be square, got {t.shape}")
+    if t.size == 0:
+        raise InvalidInputError("sub-intensity must have at least one state")
     if not np.isfinite(t).all():
         raise InvalidInputError("sub-intensity contains non-finite entries")
     scale = max(1.0, np.abs(t).max())
@@ -80,6 +83,23 @@ def _decomposed(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if eigvals.real.max() >= 0:
         raise InvalidInputError("absorption must be reachable from every state")
     return t, eigvals, eigvecs
+
+
+def _probability_vector(pi, p: int) -> np.ndarray:
+    """Checked copy of an initial distribution over ``p`` states: finite,
+    nonnegative up to dust (which is zeroed) and summing to one within
+    1e-12 (rescaled to sum to one)."""
+    pi = np.array(pi, dtype=float).ravel()
+    if pi.size != p:
+        raise InvalidInputError(
+            f"initial distribution needs {p} entries, got {pi.size}")
+    if not (pi >= -_DUST).all():  # false for NaN; an infinity fails the sum
+        raise InvalidInputError("initial probabilities must be finite and nonnegative")
+    pi = np.maximum(pi, 0.0)
+    total = pi.sum()
+    if abs(total - 1.0) > 1e-12:
+        raise InvalidInputError("initial probabilities must sum to one")
+    return pi / total
 
 
 class Spectrum(NamedTuple):
@@ -148,17 +168,8 @@ class PHRepresentation:
                                                 compare=False)
 
     def __post_init__(self):
-        pi = np.array(self.pi, dtype=float).ravel()
         t, eigvals, eigvecs = _decomposed(self.T)
-        if pi.shape[0] != t.shape[0]:
-            raise InvalidInputError("pi and T dimensions disagree")
-        if (pi < -_DUST).any():
-            raise InvalidInputError("initial probabilities must be nonnegative")
-        pi = np.maximum(pi, 0.0)
-        total = pi.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidInputError("initial probabilities must sum to one")
-        pi = pi / total
+        pi = _probability_vector(self.pi, t.shape[0])
         for arr in (pi, t, eigvals, eigvecs):
             arr.setflags(write=False)
         object.__setattr__(self, "pi", pi)
@@ -532,9 +543,7 @@ class CoxianSpec:
         else:
             if not self.generalized:
                 raise InvalidInputError("strict chain cannot carry a custom start")
-            pi = np.array(pi, dtype=float).ravel()
-            if pi.size != rates.size or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
-                raise InvalidInputError("initial distribution must be a probability vector")
+            pi = _probability_vector(pi, rates.size)
         rates.setflags(write=False)
         cont.setflags(write=False)
         pi.setflags(write=False)

@@ -15,15 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em import (
-    DEAD_STATE_TOL,
-    CensoredSample,
-    StructureSpec,
-    e_step,
-    init_structure,
-    m_step,
-    n_free_parameters,
-)
+from .em import CensoredSample, StructureSpec, _run_em, e_step, n_free_parameters
 from .exceptions import (
     DegenerateObservationError,
     InvalidInputError,
@@ -463,8 +455,10 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
     from the previous step's inverse Hessian, so a step that starts near the
     optimum after a small M-step move needs few evaluations.  Covariates are
     standardized internally; reported coefficients are on the original scale.
-    Stops when the relative log-likelihood change stays below ``tol`` for
-    ``patience`` consecutive iterations.
+    The EM loop is :func:`~matlife.em.fit_ph`'s, which stops at the first
+    relative change below ``tol``; here the trace holds one :func:`pi_loglik`
+    per outer step, and the change must stay below ``tol`` (finite, at least
+    zero) for ``patience`` consecutive steps.
     """
     sample = RegressionSample.coerce(data).canonical()
     config = config or PIFitConfig()
@@ -479,42 +473,29 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
 
     xs, center, scale = _standardize(sample.x)
     internal = RegressionSample(sample.y, sample.delta, xs, sample.weight)
-    rep = init if init is not None else init_structure(spec, rng)
-    if rep.p != spec.p:
-        raise InvalidInputError("initial representation order disagrees with spec")
     beta = np.zeros(internal.d)
     gamma = None if family == "identity" else (
         np.zeros(1 + internal.d) if config.shape_covariates else np.zeros(1))
-
-    total = internal.total_weight
-    trace = []
-    dead_events = 0
-    converged = False
-    streak = 0
-    iterations = 0
     curvature = [None]
-    for _ in range(config.max_outer):
+
+    def clocked_stats(rep, k):
+        # the E-step on the data transformed by the current coefficients
         try:
-            current = PIModel(rep, family, beta, gamma)
-            z = transform(current, internal.y, internal.x)
-            ph_sample = CensoredSample(z, internal.delta, internal.weight)
-            stats = e_step(rep, ph_sample)
+            z = transform(PIModel(rep, family, beta, gamma), internal.y, internal.x)
+            return e_step(rep, CensoredSample(z, internal.delta, internal.weight))
         except (DegenerateObservationError, ScoreOverflowError) as err:
-            raise type(err)(err.index,
-                            f"outer iteration {iterations}: {err}") from err
-        dead_events += int(np.sum(stats.v <= DEAD_STATE_TOL * max(1.0, total)))
-        rep = m_step(stats, total, spec, previous=rep)
+            raise type(err)(err.index, f"outer iteration {k}: {err}") from err
+
+    def advance(rep, k):
+        nonlocal beta, gamma
         beta, gamma, ll = maximize_regression(rep, family, internal, beta, gamma,
                                               budget=config.nm_budget,
                                               _curvature=curvature)
-        trace.append(ll)
-        iterations += 1
-        if len(trace) >= 2:
-            rel = abs(trace[-1] - trace[-2]) / max(1e-10, abs(trace[-1]))
-            streak = streak + 1 if rel < config.tol else 0
-            if streak >= config.patience:
-                converged = True
-                break
-    fitted = _destandardize(PIModel(rep, family, beta, gamma), center, scale)
-    return PIFitResult(fitted, spec, np.asarray(trace), converged, iterations,
-                       dead_events)
+        return ll, lambda: clocked_stats(rep, k)
+
+    fit = _run_em(spec, init, rng, internal.total_weight, config.max_outer,
+                  config.tol, config.patience,
+                  lambda rep, k: (None, lambda: clocked_stats(rep, k)), advance)
+    fitted = _destandardize(PIModel(fit.rep, family, beta, gamma), center, scale)
+    return PIFitResult(fitted, spec, fit.loglik_trace, fit.converged,
+                       fit.iterations, fit.dead_state_events)

@@ -160,22 +160,31 @@ class TestExitCodes:
         (["simulate", "--model", "{model}", "--censor-mean", "0"], 2,
          "--censor-mean"),
         (["simulate", "--study", "--n-per-group", "3"], 3, "censoring fraction"),
+        (["fit-ph", "{sample}", "--tol", "nan"], 2, "--tol"),
+        (["fit-pi", "{sample}", "--tol", "-1"], 2, "--tol"),
+        (["fit-mortality", "{table}", "--em-tol", "nan"], 2, "--em-tol"),
+        (["simulate", "--model", "{nan_model}"], 2,
+         "initial probabilities must be finite"),
     ], ids=["max-outer", "zero-patience", "negative-patience", "em-iters",
             "fit-pi-zero-nm-budget",
             "fit-pi-negative-nm-budget", "fit-mortality-zero-nm-budget",
             "fit-mortality-negative-nm-budget", "zero-max-evals",
             "negative-max-evals", "negative-restarts", "negative-max-iter",
             "negative-censor-mean",
-            "zero-censor-mean", "tiny-study"])
+            "zero-censor-mean", "tiny-study", "fit-ph-nan-tol",
+            "fit-pi-negative-tol", "fit-mortality-nan-em-tol", "nan-start-vector"])
     def test_rejected_settings_print_one_line(self, tmp_path, argv, code, names):
         # in a child process, so an uncaught exception would show as a
         # traceback and exit code 1
         model_path = tmp_path / "model.json"
         save_model(model_path, IPHModel(PHRepresentation([1.0], [[-2.0]])))
+        nan_model = json.loads(model_path.read_text())
+        nan_model["pi"] = [float("nan")]
+        (tmp_path / "nan_model.json").write_text(json.dumps(nan_model))
         files = {"sample": write_sample_csv(tmp_path / "s.csv"),
                  "table": write_rates_table(tmp_path / "t.txt", range(50, 55),
                                             [2000], lambda a, y: 0.01),
-                 "model": model_path}
+                 "model": model_path, "nan_model": tmp_path / "nan_model.json"}
         src = str(pathlib.Path(matlife.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "matlife", *(a.format(**files) for a in argv),
@@ -192,6 +201,8 @@ class TestExitCodes:
         ("fit-mortality", "max_evals", 0, "--max-evals"),
         ("fit-mortality", "restarts", -1, "--restarts"),
         ("fit-ph", "max_iter", -1, "--max-iter"),
+        ("fit-pi", "tol", -1e-3, "--tol"),
+        ("fit-ph", "max_iter", float("nan"), "--max-iter"),
     ])
     def test_rejected_budget_from_config_names_the_flag(
             self, tmp_path, capsys, command, key, value, flag):

@@ -533,6 +533,12 @@ class TestFit:
             fit_ph(CensoredSample([1.0], [1], [1.0]), StructureSpec("general", 1),
                    EMConfig(max_iterations=-3), rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(InvalidInputError, match="tol"):
+            fit_ph(CensoredSample([1.0], [1], [1.0]), StructureSpec("general", 1),
+                   EMConfig(max_iterations=0, tol=tol), rng=np.random.default_rng(0))
+
     @staticmethod
     def censored_sample(seed, n=200):
         rng = np.random.default_rng(seed)

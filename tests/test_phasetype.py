@@ -161,6 +161,25 @@ class TestValidation:
         assert_allclose(rep.exit_rates, [1.0])
 
 
+    @pytest.mark.parametrize("pi", [[np.nan, 1.0], [np.inf, 0.0], [-0.2, 1.2],
+                                    [0.9, 0.0], [1.0]])
+    def test_constructors_share_one_start_vector_check(self, pi):
+        with pytest.raises(InvalidInputError):
+            PHRepresentation(pi, [[-1.0, 0.5], [0.0, -2.0]])
+        with pytest.raises(InvalidInputError):
+            CoxianSpec([1.0, 2.0], [0.5], pi=pi, generalized=True)
+
+    def test_constructors_zero_the_same_dust(self):
+        pi = [1.0 + 5e-13, -5e-13]
+        rep = PHRepresentation(pi, [[-1.0, 0.5], [0.0, -2.0]])
+        spec = CoxianSpec([1.0, 2.0], [0.5], pi=pi, generalized=True)
+        assert rep.pi.tolist() == spec.pi.tolist() == [1.0, 0.0]
+
+    def test_empty_sub_intensity_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least one state"):
+            PHRepresentation(np.zeros(0), np.zeros((0, 0)))
+
+
 class TestEvaluate:
     def test_exponential_closed_form(self):
         model = IPHModel(PHRepresentation([1.0], [[-2.0]]))

@@ -12,8 +12,13 @@ from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
 from matlife import regression
-from matlife.em import StructureSpec, loglik as ph_loglik, CensoredSample
-from matlife.exceptions import InvalidInputError, ScoreOverflowError
+from matlife.diagnostics import simulate_study
+from matlife.em import EMConfig, StructureSpec, fit_ph, loglik as ph_loglik, CensoredSample
+from matlife.exceptions import (
+    DegenerateObservationError,
+    InvalidInputError,
+    ScoreOverflowError,
+)
 from matlife.inhomogeneity import make_transform
 from matlife.mortality import implied_sample, load_table
 from matlife.phasetype import CoxianSpec, IPHModel, PHRepresentation
@@ -540,3 +545,36 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit_pi(sample, StructureSpec("general", 3),
                    init=PHRepresentation([1.0], [[-1.0]]))
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        sample = two_group_sample(10, np.random.default_rng(17))
+        with pytest.raises(InvalidInputError, match="tol"):
+            fit_pi(sample, StructureSpec("coxian", 1), config=PIFitConfig(tol=tol))
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_identity_fit_without_covariates_is_fit_ph(self, k):
+        # one EM loop: with no coefficients to step, fit_pi is fit_ph
+        rng = np.random.default_rng(8)
+        y = rng.gamma(2.0, 1.0, size=150)
+        delta = (rng.uniform(size=150) < 0.8).astype(int)
+        assert np.unique(y).size == y.size
+        spec = StructureSpec("general", 3)
+        ph = fit_ph(CensoredSample(y, delta, np.ones(150)), spec,
+                    EMConfig(max_iterations=k, tol=0.0), rng=np.random.default_rng(4))
+        pi = fit_pi(RegressionSample(y, delta, np.empty((150, 0)), None), spec,
+                    "identity", PIFitConfig(max_outer=k, tol=0.0),
+                    rng=np.random.default_rng(4))
+        assert pi.iterations == ph.iterations == k
+        assert pi.model.rep.pi.tobytes() == ph.rep.pi.tobytes()
+        assert pi.model.rep.T.tobytes() == ph.rep.T.tobytes()
+        assert pi.loglik == ph.loglik
+
+    def test_failed_e_step_names_its_outer_iteration(self):
+        sample = simulate_study(3, n_per_group=200).sample
+        init = PHRepresentation([1, 0, 0], [[-2, 1, 0], [0, -1, .5], [0, 0, -.2]])
+        with pytest.raises(DegenerateObservationError) as caught:
+            fit_pi(sample, StructureSpec("coxian", 3), family="gompertz", init=init)
+        assert caught.value.index == 395
+        assert str(caught.value) == ("outer iteration 0: observation 395 has "
+                                     "zero likelihood")
