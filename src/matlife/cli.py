@@ -3,11 +3,13 @@
 Each subcommand reads plain files, writes its outputs under ``--out-dir``
 and prints a one-line summary per result.  Exit codes: 0 on success, 2 for
 argument, parsing or validation problems, 3 when the numerics fail on valid
-input.  Runs are deterministic for a fixed ``--seed``.
+input or memory runs out.  Runs are deterministic for a fixed ``--seed``.
 
-A JSON file passed as ``--config`` supplies defaults for any long option
-(keys use underscores, e.g. ``{"order": 3, "tol": 1e-6}``); explicit flags
-win over the file.
+Each setting's flag, default and type are declared once, in
+:func:`build_parser`.  A JSON file passed as ``--config`` supplies values for
+any long option (keys use underscores, e.g. ``{"order": 3, "tol": 1e-6}``):
+they are parsed as ``--key=value`` tokens ahead of the explicit flags, so the
+same types check them and explicit flags win over the file.
 """
 
 from __future__ import annotations
@@ -63,28 +65,65 @@ from .mortality import (
     model_log_mortality,
 )
 from .phasetype import IPHModel
-from .regression import STEP_BUDGET, PIFitConfig, PIModel, fit_pi, pi_loglik
+from .regression import (STEP_BUDGET, PIFitConfig, PIModel, RegressionSample,
+                         fit_pi, pi_loglik)
 
 _PARSE_ERRORS = (TableParseError, InvalidInputError, FileNotFoundError,
                  IsADirectoryError, PermissionError)
 _NUMERIC_ERRORS = (DegenerateObservationError, DeadStateError,
-                   ScoreOverflowError, DomainError)
+                   ScoreOverflowError, DomainError, MemoryError)
 
 _STRUCTURES = ("general", "coxian", "generalized_coxian")
 _FAMILIES = ("identity", "gompertz", "weibull")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejections raise :class:`InvalidInputError`, so
+    :func:`main` reports them on one line with exit code 2."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
+def _at_least(low, kind=int, strict=False):
+    """An argparse type: the text as a finite ``kind`` (``int`` or
+    ``float``) at least ``low``, or above it when ``strict``."""
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = np.nan
+        if not (low < value if strict else low <= value) or value == np.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected {'an integer' if kind is int else 'a finite number'} "
+                f"{'above' if strict else 'at least'} {low}, got {text!r}")
+        return value
+    return convert
+
+
 def _add_common(sub):
-    sub.add_argument("--out-dir", default=None,
+    sub.add_argument("--out-dir", default=".",
                      help="directory for output files (default: current)")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_at_least(0), default=0,
                      help="random seed (default 0)")
     sub.add_argument("--config", default=None,
                      help="JSON file with default option values")
 
 
+def _add_table(sub):
+    sub.add_argument("table", help="rates table, or deaths table with --exposures")
+    sub.add_argument("--kind", choices=("rates", "deaths"), default="rates")
+    sub.add_argument("--exposures", default=None,
+                     help="exposures table (with --kind deaths only, which requires it)")
+    sub.add_argument("--column", default="Female",
+                     help="value column (default Female)")
+    sub.add_argument("--year-from", type=int, default=None)
+    sub.add_argument("--year-to", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI parser: every setting's flag, default and type, declared once."""
+    parser = _Parser(
         prog="matlife",
         description="Lifetime models built from absorbing Markov chains: "
                     "fitting, simulation, diagnostics and mortality curves.")
@@ -92,25 +131,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fit-ph", help="fit a homogeneous lifetime model by EM")
     p.add_argument("data", help="CSV with time,status[,weight] columns")
-    p.add_argument("--order", type=int, default=None, help="number of states")
-    p.add_argument("--structure", choices=_STRUCTURES, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--order", type=_at_least(1), default=2, help="number of states")
+    p.add_argument("--structure", choices=_STRUCTURES, default="general")
+    p.add_argument("--max-iter", type=_at_least(0), default=2000)
+    p.add_argument("--tol", type=_at_least(0, float), default=1e-7)
     _add_common(p)
     p.set_defaults(func=_cmd_fit_ph)
 
     p = subs.add_parser("fit-pi", help="fit a regression model with covariates")
     p.add_argument("data", help="CSV with time,status[,weight],covariates")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--structure", choices=_STRUCTURES, default=None)
-    p.add_argument("--family", choices=_FAMILIES, default=None)
-    p.add_argument("--shape-covariates", action="store_const", const=True,
-                   default=None, help="regress the transform parameter on "
-                                      "the covariates as well")
-    p.add_argument("--max-outer", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--nm-budget", type=int, default=None,
+    p.add_argument("--order", type=_at_least(1), default=2)
+    p.add_argument("--structure", choices=_STRUCTURES, default="coxian")
+    p.add_argument("--family", choices=_FAMILIES, default="weibull")
+    p.add_argument("--shape-covariates", action="store_true",
+                   help="regress the transform parameter on the covariates as well")
+    p.add_argument("--max-outer", type=_at_least(1), default=200)
+    p.add_argument("--tol", type=_at_least(0, float), default=1e-6)
+    p.add_argument("--patience", type=_at_least(1), default=5)
+    p.add_argument("--nm-budget", type=_at_least(1), default=STEP_BUDGET,
                    help="objective-and-gradient evaluations per coefficient "
                         f"step (default {STEP_BUDGET})")
     _add_common(p)
@@ -118,36 +156,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fit-mortality",
                         help="fit a lifetime model to a period life table")
-    p.add_argument("table", help="rates table, or deaths table with --exposures")
-    p.add_argument("--kind", choices=("rates", "deaths"), default=None)
-    p.add_argument("--exposures", default=None,
-                   help="exposures table (with --kind deaths only, which requires it)")
-    p.add_argument("--column", default=None, help="value column (default Female)")
-    p.add_argument("--year-from", type=int, default=None)
-    p.add_argument("--year-to", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--structure", choices=_STRUCTURES, default=None)
-    p.add_argument("--family", choices=_FAMILIES, default=None)
-    p.add_argument("--em-iters", type=int, default=None,
+    _add_table(p)
+    p.add_argument("--order", type=_at_least(1), default=2)
+    p.add_argument("--structure", choices=_STRUCTURES, default="generalized_coxian")
+    p.add_argument("--family", choices=_FAMILIES, default="gompertz")
+    p.add_argument("--em-iters", type=_at_least(1), default=200,
                    help="outer iterations for the likelihood warm start")
-    p.add_argument("--em-tol", type=float, default=None)
-    p.add_argument("--nm-budget", type=int, default=None,
+    p.add_argument("--em-tol", type=_at_least(0, float), default=1e-8)
+    p.add_argument("--nm-budget", type=_at_least(1), default=STEP_BUDGET,
                    help="objective-and-gradient evaluations per coefficient "
                         f"step of the warm start (default {STEP_BUDGET})")
-    p.add_argument("--max-evals", type=int, default=None,
+    p.add_argument("--max-evals", type=_at_least(1), default=2000,
                    help="objective evaluations per direct-fit round")
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--restarts", type=_at_least(0), default=2)
     _add_common(p)
     p.set_defaults(func=_cmd_fit_mortality)
 
     p = subs.add_parser("simulate", help="draw a synthetic sample")
     p.add_argument("--model", default=None, help="model JSON to sample from")
-    p.add_argument("--n", type=int, default=None, help="sample size")
-    p.add_argument("--censor-mean", type=float, default=None,
-                   help="mean of exponential censoring (default: none)")
-    p.add_argument("--study", action="store_const", const=True, default=None,
+    p.add_argument("--n", type=_at_least(1), default=1000, help="sample size")
+    p.add_argument("--censor-mean", type=_at_least(0, float, strict=True),
+                   default=None, help="mean of exponential censoring (default: none)")
+    p.add_argument("--study", action="store_true",
                    help="generate the built-in two-group benchmark sample")
-    p.add_argument("--n-per-group", type=int, default=None)
+    p.add_argument("--n-per-group", type=_at_least(1), default=500)
     _add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -155,18 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="residuals, estimators and fit criteria for a "
                              "fitted model on a data set")
     p.add_argument("data", help="CSV with time,status[,weight],covariates")
-    p.add_argument("--model", required=True, help="model JSON")
+    # not required=True: that would reject the run before --config is read
+    p.add_argument("--model", default=None, help="model JSON (required)")
     _add_common(p)
     p.set_defaults(func=_cmd_diagnose)
 
     p = subs.add_parser("lee-carter",
                         help="rank-one log-mortality decomposition of a table")
-    p.add_argument("table", help="rates table, or deaths table with --exposures")
-    p.add_argument("--kind", choices=("rates", "deaths"), default=None)
-    p.add_argument("--exposures", default=None)
-    p.add_argument("--column", default=None)
-    p.add_argument("--year-from", type=int, default=None)
-    p.add_argument("--year-to", type=int, default=None)
+    _add_table(p)
     _add_common(p)
     p.set_defaults(func=_cmd_lee_carter)
 
@@ -180,45 +208,46 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
+def _config_tokens(args) -> list[str]:
+    """The JSON object in ``args.config`` as option tokens for ``args.command``:
+    ``--key=value`` per key and a bare ``--key`` for ``true``; ``null``, and
+    ``false`` for a switch, leave the setting at its default."""
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:
             raise InvalidInputError(f"config is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise InvalidInputError("config must be a JSON object")
-    return cfg
+    tokens = []
+    for key, value in cfg.items():
+        if key not in vars(args):
+            raise InvalidInputError(
+                f"config key {key!r} is not an option of {args.command}")
+        switch = isinstance(getattr(args, key), bool)
+        if value is None or (value is False and switch):
+            continue
+        flag = "--" + key.replace("_", "-")
+        tokens.append(flag if value is True else f"{flag}={value}")
+    return tokens
 
 
-def _resolver(args):
-    cfg = _load_config(args)
+def _parse(argv):
+    """Parse ``argv``; with ``--config``, parse once more with the file's
+    options placed before the explicit ones, which therefore win."""
+    parser = _shared_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    argv = list(sys.argv[1:] if argv is None else argv)
+    k = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:k], *_config_tokens(args), *argv[k:]])
 
-    def resolve(name, default):
-        value = getattr(args, name)
-        if value is not None:
-            return value
-        return cfg.get(name, default)
 
-    return resolve
-
-
-def _prepare(resolve) -> tuple[pathlib.Path, np.random.Generator]:
-    out_dir = pathlib.Path(resolve("out_dir", "."))
+def _prepare(args) -> tuple[pathlib.Path, np.random.Generator]:
+    out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(int(resolve("seed", 0)))
-    return out_dir, rng
-
-
-def _at_least(value, flag: str, low: int = 1, kind=int):
-    """``value`` as a ``kind`` (``int`` or ``float``), or
-    :class:`InvalidInputError` naming ``flag`` when it is below ``low`` or
-    not finite."""
-    if not low <= float(value) < np.inf:
-        raise InvalidInputError(f"{flag} must be finite and at least {low}")
-    return kind(value)
+    return out_dir, np.random.default_rng(args.seed)
 
 
 def _wrote(path: pathlib.Path) -> None:
@@ -226,18 +255,14 @@ def _wrote(path: pathlib.Path) -> None:
 
 
 def _cmd_fit_ph(args) -> int:
-    resolve = _resolver(args)
-    out_dir, rng = _prepare(resolve)
+    out_dir, rng = _prepare(args)
     data = read_survival_csv(args.data)
     if data.sample.d > 0:
         raise InvalidInputError(
             "data has covariate columns; use fit-pi for regression")
     sample = CensoredSample(data.sample.y, data.sample.delta, data.sample.weight)
-    spec = StructureSpec(resolve("structure", "general"),
-                         int(resolve("order", 2)))
-    config = EMConfig(_at_least(resolve("max_iter", 2000), "--max-iter", 0),
-                      _at_least(resolve("tol", 1e-7), "--tol", 0, float))
-    result = fit_ph(sample, spec, config, rng=rng)
+    result = fit_ph(sample, StructureSpec(args.structure, args.order),
+                    EMConfig(args.max_iter, args.tol), rng=rng)
     model = IPHModel(result.rep)
     print(f"fit-ph: n={sample.n} loglik={result.loglik:.6f} "
           f"iterations={result.iterations} converged={result.converged}")
@@ -249,19 +274,13 @@ def _cmd_fit_ph(args) -> int:
 
 
 def _cmd_fit_pi(args) -> int:
-    resolve = _resolver(args)
-    out_dir, rng = _prepare(resolve)
+    out_dir, rng = _prepare(args)
     data = read_survival_csv(args.data)
-    spec = StructureSpec(resolve("structure", "coxian"),
-                         int(resolve("order", 2)))
-    config = PIFitConfig(
-        max_outer=_at_least(resolve("max_outer", 200), "--max-outer"),
-        tol=_at_least(resolve("tol", 1e-6), "--tol", 0, float),
-        patience=_at_least(resolve("patience", 5), "--patience"),
-        nm_budget=_at_least(resolve("nm_budget", STEP_BUDGET), "--nm-budget"),
-        shape_covariates=bool(resolve("shape_covariates", False)))
-    result = fit_pi(data.sample, spec, family=resolve("family", "weibull"),
-                    config=config, rng=rng)
+    config = PIFitConfig(max_outer=args.max_outer, tol=args.tol,
+                         patience=args.patience, nm_budget=args.nm_budget,
+                         shape_covariates=args.shape_covariates)
+    result = fit_pi(data.sample, StructureSpec(args.structure, args.order),
+                    family=args.family, config=config, rng=rng)
     print(f"fit-pi: n={data.sample.n} d={data.sample.d} "
           f"loglik={result.loglik:.6f} iterations={result.iterations} "
           f"converged={result.converged} parameters={result.n_parameters}")
@@ -272,52 +291,38 @@ def _cmd_fit_pi(args) -> int:
     return 0
 
 
-def _load_rates_table(args, resolve):
-    kind = resolve("kind", "rates")
-    column = resolve("column", "Female")
-    expo_path = resolve("exposures", None)
-    if kind != "deaths" and expo_path is not None:
+def _load_rates_table(args):
+    if args.kind != "deaths" and args.exposures is not None:
         raise InvalidInputError("--exposures requires --kind deaths")
-    if kind == "deaths":
-        if expo_path is None:
+    if args.kind == "deaths":
+        if args.exposures is None:
             raise InvalidInputError("--kind deaths requires --exposures")
-        deaths = load_table(args.table, kind="deaths", column=column)
-        expo = load_table(expo_path, kind="exposures", column=column)
+        deaths = load_table(args.table, kind="deaths", column=args.column)
+        expo = load_table(args.exposures, kind="exposures", column=args.column)
         return combine_tables(deaths, expo)
-    return load_table(args.table, kind="rates", column=column)
+    return load_table(args.table, kind="rates", column=args.column)
 
 
 def _cmd_fit_mortality(args) -> int:
-    resolve = _resolver(args)
-    out_dir, rng = _prepare(resolve)
-    table = _load_rates_table(args, resolve)
-    year_from = resolve("year_from", None)
-    year_to = resolve("year_to", None)
-    curve = curve_from_table(table, year_from, year_to)
-    sample = implied_sample(table, year_from, year_to)
+    out_dir, rng = _prepare(args)
+    table = _load_rates_table(args)
+    curve = curve_from_table(table, args.year_from, args.year_to)
+    sample = implied_sample(table, args.year_from, args.year_to)
 
-    order = int(resolve("order", 2))
-    family = resolve("family", "gompertz")
-    structure = resolve("structure", "generalized_coxian")
-    em_config = PIFitConfig(
-        max_outer=_at_least(resolve("em_iters", 200), "--em-iters"),
-        tol=_at_least(resolve("em_tol", 1e-8), "--em-tol", 0, float),
-        patience=10,
-        nm_budget=_at_least(resolve("nm_budget", STEP_BUDGET), "--nm-budget"))
-    em_fit = fit_pi(sample.as_regression_sample(), StructureSpec(structure, order),
-                    family=family, config=em_config, rng=rng)
-    pm = em_fit.model
-    if family == "identity":
+    em_config = PIFitConfig(max_outer=args.em_iters, tol=args.em_tol,
+                            patience=10, nm_budget=args.nm_budget)
+    pm = fit_pi(sample.as_regression_sample(),
+                StructureSpec(args.structure, args.order),
+                family=args.family, config=em_config, rng=rng).model
+    if args.family == "identity":
         init = IPHModel(pm.rep)
     else:
         theta = float(pm.shape_param(np.zeros((1, 0)))[0])
-        init = IPHModel(pm.rep, make_transform(family, theta))
+        init = IPHModel(pm.rep, make_transform(args.family, theta))
 
-    fit_config = DirectFitConfig(
-        max_evals=_at_least(resolve("max_evals", 2000), "--max-evals"),
-        restarts=_at_least(resolve("restarts", 2), "--restarts", 0))
-    result = direct_fit(init, curve, fit_config)
-    model_id = f"p{order}-{family}"
+    result = direct_fit(init, curve, DirectFitConfig(max_evals=args.max_evals,
+                                                     restarts=args.restarts))
+    model_id = f"p{args.order}-{args.family}"
     print(f"fit-mortality: ages={curve.ages.size} start_loss="
           f"{result.loss_trace[0]:.6f} loss={result.loss:.6f} "
           f"evaluations={result.n_evaluations} model={model_id}")
@@ -333,38 +338,28 @@ def _cmd_fit_mortality(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    resolve = _resolver(args)
-    out_dir, rng = _prepare(resolve)
-    study = bool(resolve("study", False))
-    model_path = resolve("model", None)
-    if study == (model_path is not None):
+    out_dir, rng = _prepare(args)
+    if args.study == (args.model is not None):
         raise InvalidInputError("choose exactly one of --study or --model")
-    if study:
-        seed = int(resolve("seed", 0))
-        data = simulate_study(seed, n_per_group=int(resolve("n_per_group", 500)))
+    if args.study:
+        data = simulate_study(args.seed, n_per_group=args.n_per_group)
         sample = data.sample
         names = ["group"]
         print(f"simulate: study sample n={sample.n} "
               f"censored={data.censored_fraction:.3f}")
     else:
-        model = load_model(model_path)
-        n = int(resolve("n", 1000))
-        if n < 1:
-            raise InvalidInputError("sample size must be positive")
-        censor_mean = resolve("censor_mean", None)
-        if censor_mean is not None and not float(censor_mean) > 0:
-            raise InvalidInputError("--censor-mean must be positive")
+        model = load_model(args.model)
         if isinstance(model, PIModel):
             raise InvalidInputError(
                 "simulate draws from lifetime models; supply covariates by "
                 "building conditional models instead")
+        n = args.n
         y = model.sample(n, rng)
         delta = np.ones(n, dtype=int)
-        if censor_mean is not None:
-            c = rng.exponential(float(censor_mean), size=n)
+        if args.censor_mean is not None:
+            c = rng.exponential(args.censor_mean, size=n)
             delta = (y <= c).astype(int)
             y = np.minimum(y, c)
-        from .regression import RegressionSample
         sample = RegressionSample(y, delta, np.empty((n, 0)), np.ones(n))
         names = []
         print(f"simulate: n={n} censored={1.0 - delta.mean():.3f}")
@@ -374,9 +369,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    resolve = _resolver(args)
-    out_dir, _ = _prepare(resolve)
-    model = load_model(resolve("model", None))
+    if args.model is None:
+        raise InvalidInputError("diagnose requires --model")
+    out_dir, _ = _prepare(args)
+    model = load_model(args.model)
     data = read_survival_csv(args.data)
     sample = data.sample
 
@@ -417,11 +413,9 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_lee_carter(args) -> int:
-    resolve = _resolver(args)
-    out_dir, _ = _prepare(resolve)
-    table = _load_rates_table(args, resolve)
-    ages, years, grid, skipped = log_rate_grid(
-        table, resolve("year_from", None), resolve("year_to", None))
+    out_dir, _ = _prepare(args)
+    table = _load_rates_table(args)
+    ages, years, grid, skipped = log_rate_grid(table, args.year_from, args.year_to)
     fit = lee_carter_fit(grid)
     print(f"lee-carter: ages={ages.size} years={years.size} "
           f"skipped_ages={skipped}")
@@ -434,11 +428,10 @@ def _cmd_lee_carter(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = _parse(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else 0
     except _PARSE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -76,26 +76,29 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(data: dict):
-    """Rebuild a model saved by ``model_to_dict``."""
+    """Rebuild a model saved by ``model_to_dict``.  A missing or damaged
+    field raises :class:`InvalidInputError`."""
     try:
-        kind = data["kind"]
-        rep = PHRepresentation(np.asarray(data["pi"]), np.asarray(data["T"]))
-        family = data["family"]
-    except (KeyError, TypeError) as err:
+        kind, family = data["kind"], data["family"]
+        rep = PHRepresentation(np.asarray(data["pi"], dtype=float),
+                               np.asarray(data["T"], dtype=float))
+        if kind == "lifetime":
+            if family == "identity":
+                return IPHModel(rep)
+            name = _FAMILY_PARAM.get(family)
+            if name is None or name not in data.get("params", {}):
+                raise InvalidInputError(f"malformed parameters for family {family!r}")
+            return IPHModel(rep, make_transform(family, float(data["params"][name])))
+        if kind == "regression":
+            gamma = data.get("gamma")
+            return PIModel(rep, family, np.asarray(data["beta"], dtype=float),
+                           None if gamma is None else np.asarray(gamma, dtype=float),
+                           data.get("link", "exp"), data.get("standardization"))
+    except InvalidInputError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
         raise InvalidInputError(f"malformed model description: {err}") from None
-    if kind == "lifetime":
-        if family == "identity":
-            return IPHModel(rep)
-        name = _FAMILY_PARAM.get(family)
-        if name is None or name not in data.get("params", {}):
-            raise InvalidInputError(f"malformed parameters for family {family!r}")
-        return IPHModel(rep, make_transform(family, float(data["params"][name])))
-    if kind == "regression":
-        gamma = data.get("gamma")
-        return PIModel(rep, family, np.asarray(data["beta"], dtype=float),
-                       None if gamma is None else np.asarray(gamma, dtype=float),
-                       data.get("link", "exp"), data.get("standardization"))
-    raise InvalidInputError(f"unknown model kind {data.get('kind')!r}")
+    raise InvalidInputError(f"unknown model kind {kind!r}")
 
 
 def save_model(path, model) -> None:
@@ -108,7 +111,7 @@ def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # not JSON, or not UTF-8
             raise InvalidInputError(f"not a model file: {err}") from None
     return model_from_dict(data)
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
-from scipy.special import exp1
 
 from .exceptions import DomainError, InvalidInputError
 
@@ -50,8 +48,9 @@ def mexp(a: np.ndarray) -> np.ndarray:
     Accepts a single ``(p, p)`` matrix or a stack ``(..., p, p)``; stacks are
     exponentiated slice by slice.
     """
-    a = _check_square(a)
-    return _scipy_expm(a)
+    from scipy.linalg import expm  # loaded on first use: most runs never call it
+
+    return expm(_check_square(a))
 
 
 def expm_and_conv(t: np.ndarray, b: np.ndarray, z: np.ndarray):
@@ -121,7 +120,7 @@ def matrix_function(a: np.ndarray, f: str, **params) -> np.ndarray:
         alpha = float(params["alpha"])
         fn = lambda s: s**alpha
     elif f == "exp1":
-        fn = exp1
+        from scipy.special import exp1 as fn
     else:
         raise InvalidInputError(f"unknown matrix function id {f!r}")
     eigvals, eigvecs = np.linalg.eig(a)

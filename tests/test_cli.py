@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import pathlib
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matlife
 from matlife.cli import _shared_parser, build_parser, main
@@ -426,7 +430,7 @@ class TestSharedParser:
                                "weibull", "--config", "a.json"])
         b = parser.parse_args(["fit-ph", "d.csv"])
         assert a is not b
-        assert (b.order, b.config, b.max_iter) == (None, None, None)
+        assert (b.order, b.config, b.max_iter) == (2, None, 2000)
         assert not hasattr(b, "family")
         assert vars(a) == vars(build_parser().parse_args(
             ["fit-pi", "d.csv", "--order", "3", "--family", "weibull",
@@ -471,6 +475,217 @@ class TestSharedParser:
             assert capsys.readouterr().out == build_parser().format_help()
 
 
+def _one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+_MODEL = {"kind": "lifetime", "family": "identity", "params": {},
+          "pi": [1.0], "T": [[-2.0]]}
+_REGRESSION = {"kind": "regression", "family": "weibull", "pi": [1.0],
+               "T": [[-1.0]], "beta": [0.1], "gamma": [0.0], "link": "exp",
+               "standardization": None}
+
+
+def _with(base: dict, **fields) -> str:
+    return json.dumps({**base, **fields})
+
+
+#: JSON texts of model files with one field missing or damaged
+_DAMAGED_MODELS = {
+    "T-text": _with(_MODEL, T="abc"),
+    "T-ragged": _with(_MODEL, T=[[-1.0, 0.5], [0.2]]),
+    "pi-text": _with(_MODEL, pi=["x"]),
+    "params-beta-text": _with(_MODEL, family="gompertz", params={"beta": "x"}),
+    "beta-text": _with(_REGRESSION, beta=["x"]),
+    "no-kind": json.dumps({k: v for k, v in _MODEL.items() if k != "kind"}),
+    "not-json": "{model",
+}
+
+
+class TestOneInputContract:
+    """A flag and the same value from ``--config`` pass the same checks;
+    each rejection exits 2 with one stderr line naming the flag."""
+
+    @pytest.mark.parametrize("config,flag", [
+        ('{"order": 1e400}', "--order"),
+        ('{"order": 2.7}', "--order"),
+        ('{"seed": "abc"}', "--seed"),
+        ('{"tol": "x"}', "--tol"),
+        ('{"max_iter": 2.0}', "--max-iter"),
+    ], ids=["order-1e400", "order-2.7", "seed-text", "tol-text", "max-iter-float"])
+    def test_config_value_fails_its_flags_type(self, tmp_path, capsys, config, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        assert run("fit-ph", write_sample_csv(tmp_path / "s.csv"), "--config", cfg,
+                   "--out-dir", tmp_path) == 2
+        assert _one_error_line(capsys).startswith(f"error: argument {flag}: ")
+
+    def test_flag_value_fails_the_same_type(self, tmp_path, capsys):
+        assert run("fit-ph", write_sample_csv(tmp_path / "s.csv"), "--order", "2.7",
+                   "--out-dir", tmp_path) == 2
+        assert _one_error_line(capsys).startswith("error: argument --order: ")
+
+    def test_negative_seed(self, tmp_path, capsys):
+        assert run("fit-ph", write_sample_csv(tmp_path / "s.csv"), "--seed", -1,
+                   "--out-dir", tmp_path) == 2
+        assert _one_error_line(capsys).startswith("error: argument --seed: ")
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"bogus": 1}')
+        assert run("fit-ph", write_sample_csv(tmp_path / "s.csv"), "--config", cfg,
+                   "--out-dir", tmp_path) == 2
+        assert "'bogus'" in _one_error_line(capsys)
+
+    def test_config_switches(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(_MODEL))
+        cfg = tmp_path / "cfg.json"
+        # true turns a switch on; false leaves it off and null at its default
+        cfg.write_text('{"study": true, "n_per_group": 60}')
+        assert run("simulate", "--config", cfg, "--out-dir", tmp_path / "a") == 0
+        cfg.write_text(json.dumps({"study": False, "model": str(model_path), "n": 5,
+                                   "censor_mean": None}))
+        assert run("simulate", "--config", cfg, "--out-dir", tmp_path / "b") == 0
+        assert read_survival_csv(tmp_path / "a" / "sample.csv").sample.n == 120
+        assert read_survival_csv(tmp_path / "b" / "sample.csv").sample.n == 5
+        # a setting that takes a value does not take false
+        cfg.write_text('{"order": false}')
+        assert run("fit-ph", write_sample_csv(tmp_path / "s.csv"), "--config", cfg,
+                   "--out-dir", tmp_path) == 2
+        assert _one_error_line(capsys).startswith("error: argument --order: ")
+
+    def test_config_supplies_diagnose_model(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(_MODEL))
+        data = write_sample_csv(tmp_path / "s.csv")
+        assert run("diagnose", data, "--out-dir", tmp_path) == 2
+        assert _one_error_line(capsys) == "error: diagnose requires --model"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": str(model_path)}))
+        assert run("diagnose", data, "--config", cfg, "--out-dir", tmp_path) == 0
+
+    @pytest.mark.parametrize("command", ["diagnose", "simulate"])
+    @pytest.mark.parametrize("damage", list(_DAMAGED_MODELS))
+    def test_damaged_model_file(self, tmp_path, capsys, command, damage):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(_DAMAGED_MODELS[damage])
+        data = write_sample_csv(tmp_path / "s.csv")
+        argv = ["diagnose", data] if command == "diagnose" else ["simulate", "--n", 5]
+        assert run(*argv, "--model", model_path, "--out-dir", tmp_path) == 2
+        assert _one_error_line(capsys).startswith("error: ")
+
+    def test_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch):
+        # numpy's refusal of an order-100000 start, without the allocation
+        zeros = np.zeros
+
+        def refusing_zeros(shape, *args, **kwargs):
+            if np.prod(shape, dtype=float) > 1e8:
+                raise MemoryError("Unable to allocate 74.5 GiB for an array")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refusing_zeros)
+        assert run("fit-ph", write_sample_csv(tmp_path / "s.csv"), "--order", 100000,
+                   "--max-iter", 1, "--out-dir", tmp_path) == 3
+        assert _one_error_line(capsys) == (
+            "numerical failure: Unable to allocate 74.5 GiB for an array")
+
+
+#: each drawn setting value as typed after its flag and as written in JSON
+_DRAWN_VALUES = [("0", "0"), ("-1", "-1"), ("nan", "NaN"), ("inf", "Infinity"),
+                 ("1e400", "1e400"), ("x", '"x"'), ("2.5", "2.5")]
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    files = {"root": root, "sample": write_sample_csv(root / "s.csv", n=30),
+             "table": write_rates_table(root / "t.txt", range(50, 60), [2000, 2001],
+                                        lambda a, y: 1e-3 * np.exp(0.08 * (a - 50)))}
+    covariates = root / "x.csv"
+    covariates.write_text("time,status,x\n" + "".join(
+        f"{0.3 + 0.1 * i},{i % 3 > 0:d},{i % 2}\n" for i in range(30)))
+    files["covariates"] = covariates
+    models = {"good": json.dumps(_MODEL), "regression": json.dumps(_REGRESSION),
+              **_DAMAGED_MODELS}
+    files["models"] = []
+    for name, text in models.items():
+        (root / f"{name}.json").write_text(text)
+        files["models"].append(str(root / f"{name}.json"))
+    return files
+
+
+def _contract_commands(files, model):
+    """Each command's positional arguments and small valid settings
+    (orders and iteration caps at most two)."""
+    return {
+        "fit-ph": ([files["sample"]], {"order": "1", "structure": "coxian",
+                                       "max_iter": "2", "tol": "1e-6", "seed": "1"}),
+        "fit-pi": ([files["covariates"]], {
+            "order": "1", "structure": "coxian", "family": "weibull",
+            "max_outer": "2", "tol": "0", "patience": "1", "nm_budget": "3",
+            "seed": "1"}),
+        "fit-mortality": ([files["table"]], {
+            "order": "1", "structure": "coxian", "family": "gompertz",
+            "em_iters": "2", "em_tol": "0", "nm_budget": "3", "max_evals": "4",
+            "restarts": "0", "year_from": "2000", "year_to": "2001",
+            "column": "Female", "seed": "1"}),
+        "simulate": ([], {"model": model, "n": "20", "censor_mean": "1.5",
+                          "seed": "1"}),
+        "diagnose": ([files["sample"]], {"model": model, "seed": "1"}),
+        "lee-carter": ([files["table"]], {"kind": "rates", "column": "Female",
+                                          "year_from": "2000", "year_to": "2001"}),
+    }
+
+
+def _json_text(text: str) -> str:
+    try:
+        json.loads(text)
+        return text
+    except ValueError:
+        return json.dumps(text)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_setting_keeps_the_exit_code_contract(contract_files, data):
+    command = data.draw(st.sampled_from(
+        ["diagnose", "fit-mortality", "fit-ph", "fit-pi", "lee-carter", "simulate"]),
+        label="command")
+    model = (data.draw(st.sampled_from(contract_files["models"]), label="model")
+             if command in ("diagnose", "simulate") else None)
+    positional, settings_ = _contract_commands(contract_files, model)[command]
+    key = data.draw(st.sampled_from(sorted(settings_)), label="setting")
+    # a valid value half the time, so that runs also reach the numerics
+    typed, written = data.draw(st.one_of(
+        st.sampled_from(_DRAWN_VALUES),
+        st.just((settings_[key], _json_text(settings_[key])))), label="value")
+    root = contract_files["root"]
+    argv = [command, *positional]
+    for name, value in settings_.items():
+        if name != key:
+            argv += ["--" + name.replace("_", "-"), value]
+    cfg = root / "cfg.json"
+    cfg.write_text(f'{{"{key}": {written}}}')
+    results = []
+    for route in (["--" + key.replace("_", "-"), typed], ["--config", cfg]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in [*argv, *route, "--out-dir", root / "out"]])
+        assert code in (0, 2, 3)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1, lines
+            assert lines[0].startswith("error: " if code == 2 else "numerical failure: ")
+        results.append((code, out.getvalue()))
+    # by flag or by config, the same value gives the same outcome
+    assert results[0] == results[1]
+
+
 def test_console_script_is_wired():
     src = str(pathlib.Path(matlife.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -494,27 +709,33 @@ def test_package_runs_as_module():
 _COLD_START_CHILD = """
 import sys
 import matlife.cli as cli
-out, data = sys.argv[1], sys.argv[2]
+out, data, table = sys.argv[1], sys.argv[2], sys.argv[3]
 codes = [
     cli.main(["simulate", "--study", "--seed", "11", "--n-per-group", "60",
               "--out-dir", out + "/study"]),
     cli.main(["fit-ph", data, "--order", "2", "--max-iter", "5",
               "--out-dir", out + "/fit"]),
+    cli.main(["fit-pi", out + "/study/sample.csv", "--order", "1",
+              "--max-outer", "3", "--out-dir", out + "/pi"]),
     cli.main(["diagnose", data, "--model", out + "/fit/model.json",
               "--out-dir", out + "/diag"]),
+    cli.main(["lee-carter", table, "--out-dir", out + "/lc"]),
 ]
-loaded = [m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 print(codes, loaded)
 """
 
 
 def test_cli_workflow_leaves_stats_and_optimize_unloaded(tmp_path):
-    # only fit-mortality needs scipy.optimize, and nothing needs scipy.stats
+    # only fit-mortality needs scipy (scipy.optimize); the other commands
+    # load no scipy module at all
     data = write_sample_csv(tmp_path / "s.csv")
+    table = write_rates_table(tmp_path / "t.txt", range(60, 70), range(1990, 1994),
+                              lambda a, y: 1e-4 * np.exp(0.09 * a - 0.01 * (y - 1990)))
     src = str(pathlib.Path(matlife.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START_CHILD, str(tmp_path), str(data)],
+        [sys.executable, "-c", _COLD_START_CHILD, str(tmp_path), str(data), str(table)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
