@@ -23,12 +23,9 @@ import sys
 import numpy as np
 
 from .diagnostics import (
-    band_coverage,
-    cox_snell_residuals,
     information_criteria,
     kaplan_meier,
-    na_slope,
-    nelson_aalen,
+    residual_diagnostics,
     simulate_study,
 )
 from .em import CensoredSample, EMConfig, StructureSpec, fit_ph
@@ -40,7 +37,7 @@ from .exceptions import (
     ScoreOverflowError,
     TableParseError,
 )
-from .inhomogeneity import make_transform
+from .inhomogeneity import FAMILIES, make_transform
 from .io import (
     load_model,
     read_survival_csv,
@@ -74,7 +71,6 @@ _NUMERIC_ERRORS = (DegenerateObservationError, DeadStateError,
                    ScoreOverflowError, DomainError, MemoryError)
 
 _STRUCTURES = ("general", "coxian", "generalized_coxian")
-_FAMILIES = ("identity", "gompertz", "weibull")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="CSV with time,status[,weight],covariates")
     p.add_argument("--order", type=_at_least(1), default=2)
     p.add_argument("--structure", choices=_STRUCTURES, default="coxian")
-    p.add_argument("--family", choices=_FAMILIES, default="weibull")
+    p.add_argument("--family", choices=tuple(FAMILIES), default="weibull")
     p.add_argument("--shape-covariates", action="store_true",
                    help="regress the transform parameter on the covariates as well")
     p.add_argument("--max-outer", type=_at_least(1), default=200)
@@ -159,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table(p)
     p.add_argument("--order", type=_at_least(1), default=2)
     p.add_argument("--structure", choices=_STRUCTURES, default="generalized_coxian")
-    p.add_argument("--family", choices=_FAMILIES, default="gompertz")
+    p.add_argument("--family", choices=tuple(FAMILIES), default="gompertz")
     p.add_argument("--em-iters", type=_at_least(1), default=200,
                    help="outer iterations for the likelihood warm start")
     p.add_argument("--em-tol", type=_at_least(0, float), default=1e-8)
@@ -314,11 +310,9 @@ def _cmd_fit_mortality(args) -> int:
     pm = fit_pi(sample.as_regression_sample(),
                 StructureSpec(args.structure, args.order),
                 family=args.family, config=em_config, rng=rng).model
-    if args.family == "identity":
-        init = IPHModel(pm.rep)
-    else:
-        theta = float(pm.shape_param(np.zeros((1, 0)))[0])
-        init = IPHModel(pm.rep, make_transform(args.family, theta))
+    theta = pm.shape_param(np.zeros((1, 0)))
+    init = IPHModel(pm.rep, make_transform(
+        args.family, None if theta is None else float(theta[0])))
 
     result = direct_fit(init, curve, DirectFitConfig(max_evals=args.max_evals,
                                                      restarts=args.restarts))
@@ -395,19 +389,16 @@ def _cmd_diagnose(args) -> int:
           f"aic={ic.aic:.4f} bic={ic.bic:.4f}")
     print(f"note: {ic.note}")
 
-    residuals = cox_snell_residuals(model, residual_input)
-    km = kaplan_meier(residuals)
-    na = nelson_aalen(residuals)
-    coverage = band_coverage(km, lambda t: np.exp(-t))
-    slope = na_slope(na)
-    print(f"diagnose: residual_coverage={coverage:.4f} residual_slope={slope:.4f}")
+    diag = residual_diagnostics(model, residual_input)
+    print(f"diagnose: residual_coverage={diag['coverage']:.4f} "
+          f"residual_slope={diag['slope']:.4f}")
 
-    write_residuals_csv(out_dir / "residuals.csv", residuals)
+    write_residuals_csv(out_dir / "residuals.csv", diag["residuals"])
     _wrote(out_dir / "residuals.csv")
     write_step_csv(out_dir / "data_km.csv", kaplan_meier(
         CensoredSample(sample.y, sample.delta, sample.weight)))
     _wrote(out_dir / "data_km.csv")
-    write_step_csv(out_dir / "residual_na.csv", na)
+    write_step_csv(out_dir / "residual_na.csv", diag["nelson_aalen"])
     _wrote(out_dir / "residual_na.csv")
     return 0
 

@@ -133,7 +133,11 @@ def kaplan_meier(data) -> StepFunction:
     the estimate reaches zero both bounds collapse to zero.  A sample with
     no observed events yields a flagged estimator with no jumps.
     """
-    times, d, c, n = _risk_table(*_survival_columns(data))
+    return _product_limit(*_risk_table(*_survival_columns(data)))
+
+
+def _product_limit(times, d, c, n) -> StepFunction:
+    """:func:`kaplan_meier` of a :func:`_risk_table`."""
     event = d > 0
     if not event.any():
         return StepFunction(np.empty(0), np.empty(0), initial=1.0,
@@ -158,7 +162,11 @@ def kaplan_meier(data) -> StepFunction:
 
 def nelson_aalen(data) -> StepFunction:
     """Cumulative-hazard estimator ``sum d_i/n_i`` with linear 95% bounds."""
-    times, d, c, n = _risk_table(*_survival_columns(data))
+    return _cumulative_hazard(*_risk_table(*_survival_columns(data)))
+
+
+def _cumulative_hazard(times, d, c, n) -> StepFunction:
+    """:func:`nelson_aalen` of a :func:`_risk_table`."""
     event = d > 0
     if not event.any():
         return StepFunction(np.empty(0), np.empty(0), initial=0.0,
@@ -344,14 +352,18 @@ def fit_study_variant(sample, variant: str, rng=None,
     return fit_pi(sample, spec, family="weibull", config=cfg, rng=rng)
 
 
-def residual_diagnostics(model: PIModel, data) -> dict:
-    """Band coverage and identity slope of the model's residuals."""
+def residual_diagnostics(model, data) -> dict:
+    """Band coverage and identity slope of the model's Cox-Snell residuals,
+    with the ``residuals`` and their ``nelson_aalen`` estimate.  One risk
+    table of the residuals serves both estimators."""
     res = cox_snell_residuals(model, data)
-    km = kaplan_meier(res)
-    na = nelson_aalen(res)
+    table = _risk_table(*_survival_columns(res))
+    na = _cumulative_hazard(*table)
     return {
-        "coverage": band_coverage(km, lambda t: np.exp(-t)),
+        "coverage": band_coverage(_product_limit(*table), lambda t: np.exp(-t)),
         "slope": na_slope(na),
+        "residuals": res,
+        "nelson_aalen": na,
     }
 
 

@@ -197,7 +197,10 @@ def init_structure(spec: StructureSpec, rng=None) -> PHRepresentation:
     """
     rng = np.random.default_rng(rng)
     p = spec.p
-    t = np.zeros((p, p))
+    try:
+        t = np.zeros((p, p))
+    except ValueError as err:  # numpy refuses the shape before allocating
+        raise MemoryError(f"order {p} is too large: {err}") from None
     if spec.ordered:
         for k in range(p - 1):
             t[k, k + 1] = rng.uniform()

@@ -2,11 +2,11 @@
 
 A transform is described by its intensity ``lam(s)`` (the local speed of the
 clock), its integral ``cumulative(y)`` mapping lifetime scale to operational
-scale, and the inverse map ``inverse_cumulative(z)``.  Three parametric
-families are provided (exponential-rate, power, identity) plus two wrappers
-used for conditional and covariate-scaled models.  The families also give
-the derivatives of ``cumulative`` and ``log_intensity`` with respect to the
-log of their parameter, for the regression coefficient step.
+scale, and the inverse map ``inverse_cumulative(z)``.  The plain families
+(exponential-rate, power, identity) are listed once, in :data:`FAMILIES`;
+two wrappers derive conditional and covariate-scaled clocks from them.  Each
+family names its parameter, if any, in ``param_name`` and gives the
+derivatives of ``cumulative`` and ``log_intensity`` with respect to its log.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ __all__ = [
     "IdentityTransform",
     "ShiftedTransform",
     "ScaledTransform",
+    "FAMILIES",
+    "transform_family",
     "make_transform",
 ]
 
@@ -33,18 +35,30 @@ def _positive_param(value, name: str):
     return value[()]
 
 
-class GompertzTransform:
+class _Family:
+    """A plain family; ``params`` and the repr follow from ``param_name``."""
+
+    param_name: str | None = None
+
+    @property
+    def params(self) -> dict:
+        name = self.param_name
+        return {} if name is None else {name: getattr(self, name)}
+
+    def __repr__(self):
+        inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
+        return f"{type(self).__name__}({inner})"
+
+
+class GompertzTransform(_Family):
     """Exponentially increasing intensity ``exp(beta * s)``; ``beta`` may be
     an array broadcasting against the evaluation points."""
 
     family = "gompertz"
+    param_name = "beta"
 
     def __init__(self, beta):
         self.beta = _positive_param(beta, "beta")
-
-    @property
-    def params(self) -> dict:
-        return {"beta": self.beta}
 
     def intensity(self, s):
         with np.errstate(over="ignore"):
@@ -70,22 +84,16 @@ class GompertzTransform:
     def inverse_cumulative(self, z):
         return np.log1p(self.beta * np.asarray(z, dtype=float)) / self.beta
 
-    def __repr__(self):
-        return f"GompertzTransform(beta={self.beta})"
 
-
-class WeibullTransform:
+class WeibullTransform(_Family):
     """Power intensity ``theta * s**(theta - 1)``; ``theta`` may be an array
     broadcasting against the evaluation points."""
 
     family = "weibull"
+    param_name = "theta"
 
     def __init__(self, theta):
         self.theta = _positive_param(theta, "theta")
-
-    @property
-    def params(self) -> dict:
-        return {"theta": self.theta}
 
     def intensity(self, s):
         s = np.asarray(s, dtype=float)
@@ -115,15 +123,11 @@ class WeibullTransform:
     def inverse_cumulative(self, z):
         return np.asarray(z, dtype=float) ** (1.0 / self.theta)
 
-    def __repr__(self):
-        return f"WeibullTransform(theta={self.theta})"
 
-
-class IdentityTransform:
+class IdentityTransform(_Family):
     """Constant unit intensity; the lifetime is the absorption time itself."""
 
     family = "identity"
-    params: dict = {}
 
     def intensity(self, s):
         return np.ones_like(np.asarray(s, dtype=float))
@@ -143,9 +147,6 @@ class IdentityTransform:
     def inverse_cumulative(self, z):
         return np.asarray(z, dtype=float)
 
-    def __repr__(self):
-        return "IdentityTransform()"
-
 
 class ShiftedTransform:
     """Transform seen from age ``offset`` onward.
@@ -163,10 +164,6 @@ class ShiftedTransform:
         self.base = base
         self.offset = offset
         self._base_at_offset = float(base.cumulative(offset))
-
-    @property
-    def params(self) -> dict:
-        return {"offset": self.offset, "base": self.base.family, **self.base.params}
 
     def intensity(self, s):
         return self.base.intensity(self.offset + np.asarray(s, dtype=float))
@@ -197,10 +194,6 @@ class ScaledTransform:
         self.base = base
         self.factor = factor
 
-    @property
-    def params(self) -> dict:
-        return {"factor": self.factor, "base": self.base.family, **self.base.params}
-
     def intensity(self, s):
         return self.factor * self.base.intensity(s)
 
@@ -217,21 +210,25 @@ class ScaledTransform:
         return f"ScaledTransform({self.base!r}, factor={self.factor!r})"
 
 
-#: families usable in regression, keyed by name; each takes one positive
-#: parameter, a scalar or an array with one value per point
-SCALAR_FAMILIES = {"gompertz": GompertzTransform, "weibull": WeibullTransform}
+#: the plain clock families, keyed by the name models save and the CLI takes
+FAMILIES = {"identity": IdentityTransform, "gompertz": GompertzTransform,
+            "weibull": WeibullTransform}
+
+
+def transform_family(family: str) -> type:
+    """The class of the plain family named ``family``; an unknown name raises
+    :class:`InvalidInputError`."""
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise InvalidInputError(f"unknown transform family {family!r}")
+    return cls
 
 
 def make_transform(family: str, param=None):
     """Build a transform from a family name and its parameter (a scalar, or an
-    array with one value per point)."""
-    if family == "identity":
-        if param is not None:
-            raise InvalidInputError("identity transform takes no parameter")
-        return IdentityTransform()
-    cls = SCALAR_FAMILIES.get(family)
-    if cls is None:
-        raise InvalidInputError(f"unknown transform family {family!r}")
-    if param is None:
-        raise InvalidInputError(f"{family} transform requires a parameter")
-    return cls(param)
+    array with one value per point), given exactly when the family has one."""
+    cls = transform_family(family)
+    if (param is None) != (cls.param_name is None):
+        raise InvalidInputError(f"{family} transform "
+                                f"{'takes no' if param is not None else 'requires a'} parameter")
+    return cls() if param is None else cls(param)

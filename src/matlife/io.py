@@ -2,8 +2,9 @@
 
 Models serialize to JSON with full-precision floats, so a save/load cycle
 reproduces every parameter bitwise.  CSV exports use ``%.17g`` for the same
-reason.  Only plain transform families serialize; the shifted and scaled
-wrappers describe derived models and are rebuilt on demand instead.
+reason.  Only the plain families of :data:`~matlife.inhomogeneity.FAMILIES`
+with a scalar parameter serialize; the shifted and scaled wrappers describe
+derived models and are rebuilt on demand instead.
 
 Table work is columnar.  Survival CSVs and life tables share one reader:
 the body in one ``numpy.loadtxt`` pass, and only when that fails a
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInputError, TableParseError
-from .inhomogeneity import make_transform
+from .inhomogeneity import FAMILIES, make_transform, transform_family
 from .phasetype import IPHModel, PHRepresentation
 from .regression import PIModel, RegressionSample
 
@@ -42,8 +43,6 @@ __all__ = [
     "write_lee_carter_csv",
 ]
 
-_FAMILY_PARAM = {"gompertz": "beta", "weibull": "theta"}
-
 
 def model_to_dict(model) -> dict:
     """JSON-ready description of a lifetime or regression model."""
@@ -60,17 +59,19 @@ def model_to_dict(model) -> dict:
         }
     if isinstance(model, IPHModel):
         family = model.transform.family
-        if family not in ("identity", "gompertz", "weibull"):
+        if family not in FAMILIES:
             raise InvalidInputError(
                 "only plain transform families serialize; rebuild shifted or "
                 "scaled models from their base")
-        params = {} if family == "identity" else dict(model.transform.params)
+        params = model.transform.params
+        if any(np.ndim(value) for value in params.values()):
+            raise InvalidInputError("only a scalar transform parameter serializes")
         return {
             "kind": "lifetime",
             "pi": model.rep.pi.tolist(),
             "T": model.rep.T.tolist(),
             "family": family,
-            "params": params,
+            "params": {name: float(value) for name, value in params.items()},
         }
     raise InvalidInputError("model must be a lifetime or regression model")
 
@@ -83,12 +84,9 @@ def model_from_dict(data: dict):
         rep = PHRepresentation(np.asarray(data["pi"], dtype=float),
                                np.asarray(data["T"], dtype=float))
         if kind == "lifetime":
-            if family == "identity":
-                return IPHModel(rep)
-            name = _FAMILY_PARAM.get(family)
-            if name is None or name not in data.get("params", {}):
-                raise InvalidInputError(f"malformed parameters for family {family!r}")
-            return IPHModel(rep, make_transform(family, float(data["params"][name])))
+            name = transform_family(family).param_name
+            param = None if name is None else float(data["params"][name])
+            return IPHModel(rep, make_transform(family, param))
         if kind == "regression":
             gamma = data.get("gamma")
             return PIModel(rep, family, np.asarray(data["beta"], dtype=float),
@@ -102,8 +100,11 @@ def model_from_dict(data: dict):
 
 
 def save_model(path, model) -> None:
+    """Write ``model`` as JSON; a model that does not serialize raises
+    :class:`InvalidInputError` and leaves any file at ``path`` as it was."""
+    data = model_to_dict(model)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, InvalidInputError, TableParseError
+from .inhomogeneity import FAMILIES, make_transform
 from .io import _BLOCK_ROWS, _read_rows, _read_text
 from .phasetype import IPHModel, PHRepresentation
 from .regression import PIModel, RegressionSample
@@ -401,10 +402,10 @@ def _build_pattern(model) -> _Pattern:
         n_extra = model.beta.size + (0 if model.gamma is None else model.gamma.size)
     else:
         rep, family = model.rep, model.transform.family
-        if family not in ("identity", "gompertz", "weibull"):
+        if family not in FAMILIES:
             raise InvalidInputError(
                 "direct fitting needs a plain transform family")
-        n_extra = 0 if family == "identity" else 1
+        n_extra = len(model.transform.params)
     t = rep.T
     off_mask = t > 0
     np.fill_diagonal(off_mask, False)
@@ -428,10 +429,8 @@ def _pack(model, pattern: _Pattern) -> np.ndarray:
         parts.append(model.beta)
         if model.gamma is not None:
             parts.append(model.gamma)
-    elif pattern.family == "gompertz":
-        parts.append(np.log([model.transform.beta]))
-    elif pattern.family == "weibull":
-        parts.append(np.log([model.transform.theta]))
+    else:
+        parts.append(np.log(list(model.transform.params.values())))
     return np.concatenate(parts)
 
 
@@ -465,10 +464,8 @@ def _unpack(vec: np.ndarray, model, pattern: _Pattern):
             gamma = vec[pos:pos + model.gamma.size]
         return PIModel(rep, model.family, beta, gamma, model.link,
                        model.standardization)
-    from .inhomogeneity import make_transform
-    if pattern.family == "identity":
-        return IPHModel(rep)
-    return IPHModel(rep, make_transform(pattern.family, float(np.exp(vec[pos]))))
+    return IPHModel(rep, make_transform(pattern.family,
+                                        *np.exp(vec[pos:pos + pattern.n_extra])))
 
 
 def _normalize_curves(model, curves):

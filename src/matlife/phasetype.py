@@ -17,12 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, InvalidInputError
-from .inhomogeneity import (
-    GompertzTransform,
-    IdentityTransform,
-    ShiftedTransform,
-    WeibullTransform,
-)
+from .inhomogeneity import IdentityTransform, ShiftedTransform
 from .linalg import PRODUCTS_COND_LIMIT, matrix_function, mexp
 
 __all__ = [

@@ -21,7 +21,7 @@ from .exceptions import (
     InvalidInputError,
     ScoreOverflowError,
 )
-from .inhomogeneity import ScaledTransform, make_transform
+from .inhomogeneity import ScaledTransform, make_transform, transform_family
 from .phasetype import Evaluation, IPHModel, PHRepresentation, _censored_loglik
 
 __all__ = [
@@ -128,7 +128,7 @@ class PIModel:
 
     ``gamma`` holds the transform-parameter coefficients with the intercept
     first; length one means a shared shape for all subjects.  ``gamma`` is
-    ``None`` exactly when the family is ``identity``.  Coefficients are on the
+    ``None`` exactly when the family has no parameter.  Coefficients are on the
     original covariate scale; ``standardization`` records the internal
     centering/scaling used during the fit.
     """
@@ -146,12 +146,10 @@ class PIModel:
         beta = np.asarray(self.beta, dtype=float).ravel()
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        if self.family == "identity":
+        if transform_family(self.family).param_name is None:
             if self.gamma is not None:
-                raise InvalidInputError("identity family carries no gamma")
+                raise InvalidInputError(f"{self.family} family carries no gamma")
         else:
-            if self.family not in ("gompertz", "weibull"):
-                raise InvalidInputError(f"unknown family {self.family!r}")
             if self.gamma is None:
                 raise InvalidInputError("family with a shape parameter needs gamma")
             gamma = np.asarray(self.gamma, dtype=float).ravel()
@@ -180,7 +178,7 @@ class PIModel:
         return np.exp(self._scores(x)[0])
 
     def shape_param(self, x) -> np.ndarray | None:
-        """Per-row transform parameter, or ``None`` for the identity family."""
+        """Per-row transform parameter, or ``None`` for a family without one."""
         return self._scores(x)[1]
 
     def conditional_model(self, x_row) -> IPHModel:
@@ -468,14 +466,15 @@ def fit_pi(data, spec: StructureSpec, family: str = "weibull",
         raise InvalidInputError("patience must be at least one")
     if config.nm_budget < 1:
         raise InvalidInputError("nm_budget must be at least one")
-    if family == "identity" and config.shape_covariates:
-        raise InvalidInputError("identity family has no shape parameter to regress")
+    shaped = transform_family(family).param_name is not None
+    if config.shape_covariates and not shaped:
+        raise InvalidInputError(f"{family} family has no shape parameter to regress")
 
     xs, center, scale = _standardize(sample.x)
     internal = RegressionSample(sample.y, sample.delta, xs, sample.weight)
     beta = np.zeros(internal.d)
-    gamma = None if family == "identity" else (
-        np.zeros(1 + internal.d) if config.shape_covariates else np.zeros(1))
+    gamma = (np.zeros(1 + internal.d) if config.shape_covariates
+             else np.zeros(1)) if shaped else None
     curvature = [None]
 
     def clocked_stats(rep, k):

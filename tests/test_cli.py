@@ -498,6 +498,7 @@ _DAMAGED_MODELS = {
     "T-ragged": _with(_MODEL, T=[[-1.0, 0.5], [0.2]]),
     "pi-text": _with(_MODEL, pi=["x"]),
     "params-beta-text": _with(_MODEL, family="gompertz", params={"beta": "x"}),
+    "family-unknown": _with(_MODEL, family="cauchy"),
     "beta-text": _with(_REGRESSION, beta=["x"]),
     "no-kind": json.dumps({k: v for k, v in _MODEL.items() if k != "kind"}),
     "not-json": "{model",
@@ -591,6 +592,14 @@ class TestOneInputContract:
                    "--max-iter", 1, "--out-dir", tmp_path) == 3
         assert _one_error_line(capsys) == (
             "numerical failure: Unable to allocate 74.5 GiB for an array")
+
+    @pytest.mark.parametrize("order", ["3000000000", "99999999999999999999"])
+    def test_unshapeable_order_exits_three(self, tmp_path, capsys, order):
+        # numpy refuses these shapes before it allocates anything
+        assert run("fit-ph", write_sample_csv(tmp_path / "s.csv"), "--order", order,
+                   "--max-iter", 1, "--out-dir", tmp_path) == 3
+        assert _one_error_line(capsys).startswith(
+            f"numerical failure: order {order} is too large")
 
 
 #: each drawn setting value as typed after its flag and as written in JSON

@@ -288,6 +288,24 @@ class TestStudy:
         assert diag["coverage"] >= 0.95
         assert 0.9 <= diag["slope"] <= 1.1
 
+    def test_residual_diagnostics_equal_the_separate_estimators(self):
+        # one shared risk table gives what the two estimators give apart
+        model = study_models()[1]
+        rng = np.random.default_rng(4)
+        y = model.sample(200, rng)
+        c = rng.exponential(1.0, 200)
+        data = CensoredSample(np.minimum(y, c), (y <= c).astype(int), np.ones(200))
+        diag = residual_diagnostics(model, data)
+        res = cox_snell_residuals(model, data)
+        na = nelson_aalen(res)
+        assert np.array_equal(diag["residuals"].residual, res.residual)
+        for name in ("times", "values", "variance", "lower", "upper"):
+            assert np.array_equal(getattr(diag["nelson_aalen"], name),
+                                  getattr(na, name))
+        assert diag["coverage"] == band_coverage(kaplan_meier(res),
+                                                 lambda t: np.exp(-t))
+        assert diag["slope"] == na_slope(na)
+
     def test_replication_rngs_are_stable_and_distinct(self):
         a = replication_rngs(5, 3)
         b = replication_rngs(5, 3)

@@ -70,6 +70,18 @@ class TestModelRoundTrip:
         with pytest.raises(InvalidInputError):
             model_to_dict(m)
 
+    @pytest.mark.parametrize("clock", [
+        ScaledTransform(make_transform("gompertz", 2.0), 1.5),
+        make_transform("weibull", [1.5, 2.0]),
+    ], ids=["scaled", "array-parameter"])
+    def test_failed_save_leaves_the_old_file(self, tmp_path, clock):
+        path = tmp_path / "model.json"
+        save_model(path, models()[1])
+        before = path.read_bytes()
+        with pytest.raises(InvalidInputError):
+            save_model(path, IPHModel(PHRepresentation([1.0], [[-1.0]]), clock))
+        assert path.read_bytes() == before
+
     def test_unknown_kind_rejected(self):
         data = model_to_dict(models()[0])
         data["kind"] = "mystery"

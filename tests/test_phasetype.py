@@ -98,6 +98,12 @@ class TestTransforms:
             make_transform("gompertz")
         with pytest.raises(InvalidInputError):
             make_transform("cauchy", 1.0)
+        with pytest.raises(InvalidInputError):
+            make_transform("weibull")
+        with pytest.raises(InvalidInputError):
+            make_transform("scaled", 1.0)  # a wrapper, not a family
+        with pytest.raises(InvalidInputError):
+            make_transform(["gompertz"], 1.0)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf,
                                      [1.0, 0.0], [2.0, np.nan]])
