@@ -132,11 +132,16 @@ _BLANK = string.whitespace + ","
 
 
 def _read_text(source) -> str:
-    """The whole text of a path, or of an object with a ``read`` method."""
-    if hasattr(source, "read"):
-        return source.read()
-    with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The whole text of a path, or of an object with a ``read`` method.
+    Bytes that are not UTF-8 raise :class:`InvalidInputError`."""
+    try:
+        if hasattr(source, "read"):
+            return source.read()
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        name = getattr(source, "name", source)
+        raise InvalidInputError(f"{name} is not UTF-8 text: {err}") from None
 
 
 def _read_rows(lines, numbers, width, delimiter=",", dtype=float,

@@ -177,7 +177,11 @@ def load_table(source, kind: str = "rates", column: str = "Female") -> LifeTable
         open_group = np.fromiter(map(str.endswith, ages, repeat("+")), bool, ages.size)
         ages[open_group] = [token[:-1] for token in ages[open_group]]
         keep = cells[value] != "."
-        return (cells[year].astype(int)[keep], ages.astype(int)[keep],
+        try:
+            ages = ages.astype(int)
+        except OverflowError:  # a ValueError lets _read_rows name the line
+            raise ValueError("age beyond the int64 range") from None
+        return (cells[year].astype(int)[keep], ages[keep],
                 cells[value][keep].astype(float), ~keep)
 
     # block by block, so that the text cells of one block are alive at a
@@ -405,7 +409,11 @@ def _build_pattern(model) -> _Pattern:
         if family not in FAMILIES:
             raise InvalidInputError(
                 "direct fitting needs a plain transform family")
-        n_extra = len(model.transform.params)
+        params = model.transform.params
+        if any(np.ndim(value) for value in params.values()):
+            raise InvalidInputError(
+                "direct fitting needs a scalar transform parameter")
+        n_extra = len(params)
     t = rep.T
     off_mask = t > 0
     np.fill_diagonal(off_mask, False)
@@ -493,6 +501,79 @@ def _normalize_curves(model, curves):
     return out
 
 
+class _BudgetSpent(Exception):
+    """An evaluation was asked for after the budget of a round ran out."""
+
+
+def _nelder_mead(objective, simplex, max_evals: int):
+    """Minimize ``objective`` from the rows of ``simplex`` in at most
+    ``max_evals`` evaluations; return the final vertices and losses, best first.
+
+    This is scipy 1.17's non-adaptive, unbounded Nelder-Mead step for step:
+    coefficients rho = 1, chi = 2, psi = sigma = 1/2, the same stop test on
+    ``NM_XATOL`` and ``NM_FATOL``, the same default-kind ``argsort``
+    reorderings (ties among ``inf`` losses order alike), and an iteration or
+    shrink cut off at the evaluation where scipy's budget cuts it.  So it
+    evaluates the same points in the same order.  ``objective`` must not
+    modify the point it is given.
+    """
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        if evals >= max_evals:
+            raise _BudgetSpent
+        evals += 1
+        return objective(x)
+
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):  # scipy sorts twice here, which can reorder tied losses
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while evals < max_evals:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= NM_XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= NM_FATOL):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]  # reflection
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]  # expansion
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim, fsim
+
+
 def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFitResult:
     """Minimize the squared log-mortality loss from a valid starting model.
 
@@ -501,9 +582,13 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
     through a softmax, so every iterate is a valid model.  Nelder-Mead runs
     ``restarts + 1`` rounds, each starting from the best point found so far
     with a fresh simplex.  The final loss never exceeds the initial loss.
-    """
-    from scipy.optimize import minimize
 
+    The optimizer is the in-house :func:`_nelder_mead`, a step-for-step port
+    of scipy's non-adaptive Nelder-Mead: it evaluates the points scipy's
+    ``minimize(method="Nelder-Mead")`` evaluates with the same simplex,
+    ``maxfev``, ``xatol`` and ``fatol``, so models, losses, traces and
+    evaluation counts are bitwise those of the scipy-driven fit.
+    """
     config = config or DirectFitConfig()
     if config.max_evals < 1:
         raise InvalidInputError("max_evals must be at least one")
@@ -550,9 +635,7 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
         x_start = best["x"]
         simplex = np.vstack([x_start, x_start + SIMPLEX_STEP * np.eye(x_start.size)])
         previous = best["f"]
-        minimize(objective, x_start, method="Nelder-Mead",
-                 options={"maxfev": config.max_evals, "initial_simplex": simplex,
-                          "xatol": NM_XATOL, "fatol": NM_FATOL})
+        _nelder_mead(objective, simplex, config.max_evals)
         if previous - best["f"] <= NM_FATOL * max(1.0, abs(previous)):
             break
 

@@ -10,7 +10,7 @@ import numpy as np
 from matlife.em import SufficientStats
 from matlife.exceptions import DomainError, InvalidInputError, TableParseError
 from matlife.linalg import PRODUCTS_COND_LIMIT
-from matlife.mortality import LifeTable
+from matlife.mortality import NM_FATOL, NM_XATOL, LifeTable
 from matlife.phasetype import (
     SURVIVAL_FLOOR,
     Evaluation,
@@ -202,6 +202,20 @@ def load_table_by_lines(source, kind="rates", column="Female"):
         np.asarray(values, dtype=float))
     return LifeTable(np.asarray(years), np.asarray(ages), cols["deaths"],
                      cols["exposure"], cols["mx"], dropped)
+
+
+def scipy_nelder_mead(objective, simplex, max_evals):
+    """``mortality._nelder_mead`` by ``scipy.optimize.minimize`` (reference
+    route): the same initial simplex, evaluation budget and tolerances.
+    Returns the final simplex and its losses, best first."""
+    # imported here: the benchmark loads this module and must not pay for it
+    from scipy.optimize import minimize
+
+    simplex = np.asarray(simplex, dtype=float)
+    res = minimize(objective, simplex[0], method="Nelder-Mead",
+                   options={"initial_simplex": simplex, "maxfev": max_evals,
+                            "xatol": NM_XATOL, "fatol": NM_FATOL})
+    return res.final_simplex
 
 
 def random_sub_intensity(rng, p, kind="general"):

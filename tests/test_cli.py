@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matlife
@@ -695,6 +695,79 @@ def test_every_setting_keeps_the_exit_code_contract(contract_files, data):
     assert results[0] == results[1]
 
 
+#: damage to one cell of a data file: what replaces it, or how the row changes
+_DAMAGES = ["non-utf8", "overlong", "overlong-open-age", "missing-field",
+            "extra-field", "unclosed-quote", "missing-rate", "nan", "inf",
+            "negative", "header-only", "empty"]
+_CELLS = {"overlong": b"99999999999999999999",
+          "overlong-open-age": b"99999999999999999999+", "missing-rate": b".",
+          "nan": b"nan", "inf": b"inf", "negative": b"-0.5"}
+
+
+def _damaged(text: bytes, damage: str, row: int, column: int, table: bool) -> bytes:
+    """``text`` with one data row damaged, or its body cut off.  A table
+    holds a title, a blank line and the header before its rows."""
+    lines = text.split(b"\n")
+    first = 3 if table else 1
+    if damage in ("header-only", "empty"):
+        return b"\n".join(lines[:first]) + b"\n" if damage == "header-only" else b""
+    at = first + row % (len(lines) - first - 1)  # the last line is empty
+    cells = lines[at].split() if table else lines[at].split(b",")
+    k = column % len(cells)
+    if damage == "non-utf8":
+        cells[k] += b"\xff"
+    elif damage == "missing-field":
+        del cells[k]
+    elif damage == "extra-field":
+        cells.append(b"1")
+    elif damage == "unclosed-quote":
+        cells[k] = b'"' + cells[k]
+    else:
+        cells[k] = _CELLS[damage]
+    lines[at] = (b"  " if table else b",").join(cells)
+    return b"\n".join(lines)
+
+
+@given(command=st.sampled_from(["diagnose", "fit-mortality", "fit-ph", "fit-pi",
+                                "lee-carter"]),
+       damage=st.sampled_from(_DAMAGES), row=st.integers(0, 40),
+       column=st.integers(0, 4), role=st.sampled_from(["rates", "deaths", "exposures"]))
+@example(command="fit-ph", damage="non-utf8", row=0, column=0, role="rates")
+@example(command="fit-mortality", damage="non-utf8", row=5, column=2, role="rates")
+@example(command="fit-mortality", damage="overlong", row=3, column=1, role="rates")
+@example(command="lee-carter", damage="overlong-open-age", row=3, column=1,
+         role="deaths")
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_damaged_data_files_keep_the_exit_code_contract(contract_files, command, damage,
+                                                        row, column, role):
+    # every command that reads a survival CSV or a life table, given one
+    # damaged file; a life table may be the rates, deaths or exposures table
+    table = command in ("fit-mortality", "lee-carter")
+    source = contract_files["table" if table else
+                            "covariates" if command == "fit-pi" else "sample"]
+    root = contract_files["root"]
+    bad = root / ("bad.txt" if table else "bad.csv")
+    bad.write_bytes(_damaged(source.read_bytes(), damage, row, column, table))
+    _, settings_ = _contract_commands(contract_files, contract_files["models"][0])[command]
+    argv = [command, bad]
+    if table and role != "rates":
+        deaths, exposures = (bad, source) if role == "deaths" else (source, bad)
+        argv = [command, deaths, "--kind", "deaths", "--exposures", exposures]
+    for name, value in settings_.items():
+        if name != "kind":
+            argv += ["--" + name.replace("_", "-"), value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in [*argv, "--out-dir", root / "out"]])
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: " if code == 2 else "numerical failure: ")
+
+
 def test_console_script_is_wired():
     src = str(pathlib.Path(matlife.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -729,6 +802,8 @@ codes = [
     cli.main(["diagnose", data, "--model", out + "/fit/model.json",
               "--out-dir", out + "/diag"]),
     cli.main(["lee-carter", table, "--out-dir", out + "/lc"]),
+    cli.main(["fit-mortality", table, "--em-iters", "5", "--max-evals", "60",
+              "--restarts", "1", "--seed", "3", "--out-dir", out + "/mort"]),
 ]
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 print(codes, loaded)
@@ -736,8 +811,9 @@ print(codes, loaded)
 
 
 def test_cli_workflow_leaves_stats_and_optimize_unloaded(tmp_path):
-    # only fit-mortality needs scipy (scipy.optimize); the other commands
-    # load no scipy module at all
+    # no command loads a scipy module on a well-conditioned model: the
+    # direct fit runs the in-house Nelder-Mead, and the seed keeps every
+    # fit-mortality iterate on the spectral route, away from scipy's expm
     data = write_sample_csv(tmp_path / "s.csv")
     table = write_rates_table(tmp_path / "t.txt", range(60, 70), range(1990, 1994),
                               lambda a, y: 1e-4 * np.exp(0.09 * a - 0.01 * (y - 1990)))
@@ -747,4 +823,4 @@ def test_cli_workflow_leaves_stats_and_optimize_unloaded(tmp_path):
         [sys.executable, "-c", _COLD_START_CHILD, str(tmp_path), str(data), str(table)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

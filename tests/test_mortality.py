@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
+from matlife import mortality
+from matlife.em import StructureSpec
 from matlife.exceptions import DomainError, InvalidInputError, TableParseError
 from matlife.inhomogeneity import ScaledTransform, make_transform
 from matlife.mortality import (
+    SIMPLEX_STEP,
     DirectFitConfig,
     LifeTable,
     MortalityCurve,
     _aggregate_rates,
+    _nelder_mead,
     combine_tables,
     curve_from_table,
     direct_fit,
+    free_parameter_count,
     implied_sample,
     lee_carter_fit,
     load_table,
@@ -24,13 +30,14 @@ from matlife.mortality import (
     select_order,
 )
 from matlife.phasetype import IPHModel, PHRepresentation
-from matlife.regression import PIModel
+from matlife.regression import PIFitConfig, PIModel, fit_pi
 
 from helpers import (
     aggregate_rates_by_age,
     combine_tables_by_dicts,
     load_table_by_lines,
     log_rate_grid_by_dicts,
+    scipy_nelder_mead,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -114,6 +121,20 @@ class TestParser:
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
             small_table(kind="hazards")
+
+    @pytest.mark.parametrize("age", ["99999999999999999999", "99999999999999999999+",
+                                     "-9223372036854775809"])
+    def test_age_beyond_int64_reports_its_line(self, age):
+        rows = ["2000 0 0.1 0.1 0.1", f"2000 {age} 0.2 0.2 0.2"]
+        with pytest.raises(TableParseError, match="age beyond the int64 range") as err:
+            load_table(io.StringIO(table_text(rows)))
+        assert err.value.line == 5
+
+    def test_non_utf8_file_is_invalid_input(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(table_text(["2000 0 0.1 0.1 0.1"]).encode() + b"2000 1 \xff 1 1\n")
+        with pytest.raises(InvalidInputError, match="not UTF-8 text"):
+            load_table(path)
 
     def test_blank_lines_are_skipped(self):
         rows = ["2000   0     0.005   0.006   0.0055", "",
@@ -621,6 +642,211 @@ class TestDirectFit:
         curve = MortalityCurve([50], [np.log(0.01)])
         with pytest.raises(InvalidInputError):
             direct_fit(wrapped, curve)
+
+    def test_array_clock_parameter_rejected(self):
+        model = IPHModel(two_state_gompertz().rep, make_transform("gompertz", [1.0, 2.0]))
+        curve = MortalityCurve([50], [np.log(0.01)])
+        with pytest.raises(InvalidInputError, match="scalar transform parameter"):
+            direct_fit(model, curve)
+        with pytest.raises(InvalidInputError, match="scalar transform parameter"):
+            free_parameter_count(model)
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def walled(x):
+    """Rosenbrock, and ``inf`` on the half-space x0 + x1 > 0.45."""
+    return np.inf if x[0] + x[1] > 0.45 else rosenbrock(x)
+
+
+def terraced(x):
+    """Rosenbrock rounded down to an integer: its ties make Nelder-Mead shrink."""
+    return float(np.floor(rosenbrock(x)))
+
+
+#: objective and first vertex; the walled start has two vertices at inf
+_NM_CASES = {
+    "rosenbrock-2": (rosenbrock, [-1.2, 1.0]),
+    "rosenbrock-6": (rosenbrock, [-1.2, 1.0] * 3),
+    "walled": (walled, [0.4, 0.0]),
+    "terraced": (terraced, [-1.2, 1.0]),
+}
+
+#: a budget no case reaches, so each stops on the point and loss tolerances
+_NM_BUDGET = 5000
+
+
+def simplex_at(x0):
+    """The simplex ``direct_fit`` builds around ``x0``."""
+    x0 = np.asarray(x0, dtype=float)
+    return np.vstack([x0, x0 + SIMPLEX_STEP * np.eye(x0.size)])
+
+
+def nelder_mead_run(minimizer, fn, simplex, budget):
+    """The points ``minimizer`` evaluates, then its final simplex and losses."""
+    points = []
+
+    def objective(x):
+        points.append(x.copy())
+        return fn(x)
+
+    return [points, *minimizer(objective, simplex, budget)]
+
+
+def assert_same_run(fn, simplex, budget) -> int:
+    """``_nelder_mead`` evaluates scipy's points bitwise, in scipy's order,
+    and ends on scipy's simplex; returns the evaluation count."""
+    got = nelder_mead_run(_nelder_mead, fn, simplex, budget)
+    want = nelder_mead_run(scipy_nelder_mead, fn, simplex, budget)
+    assert len(got[0]) == len(want[0])
+    assert [x.tobytes() for x in got[0]] == [x.tobytes() for x in want[0]]
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
+    return len(want[0])
+
+
+def nelder_mead_steps(fn, simplex):
+    """``(first, end, kind)`` evaluation ranges of the initial simplex and of
+    each step of scipy's run, read from its per-iteration callback."""
+    values, ends = [], []
+
+    def objective(x):
+        values.append(fn(x))
+        return values[-1]
+
+    simplex = np.asarray(simplex, dtype=float)
+    minimize(objective, simplex[0], method="Nelder-Mead",
+             callback=lambda xk: ends.append(len(values)),
+             options={"initial_simplex": simplex, "maxfev": _NM_BUDGET,
+                      "xatol": mortality.NM_XATOL, "fatol": mortality.NM_FATOL})
+    first = simplex.shape[0]
+    steps = [(0, first, "initial")]
+    for end in ends:
+        if end - first == 1:
+            kind = "reflection"
+        elif end - first > 2:
+            kind = "shrink"
+        else:  # the reflected point beat the best vertex, or it did not
+            kind = "expansion" if values[first] < min(values[:first]) else "contraction"
+        steps.append((first, end, kind))
+        first = end
+    return steps
+
+
+class TestNelderMeadParity:
+    """The in-house Nelder-Mead against ``scipy.optimize.minimize``."""
+
+    @pytest.mark.parametrize("case", list(_NM_CASES))
+    def test_evaluates_the_points_scipy_does(self, case):
+        fn, x0 = _NM_CASES[case]
+        assert assert_same_run(fn, simplex_at(x0), _NM_BUDGET) < _NM_BUDGET
+
+    @pytest.mark.parametrize("case", ["rosenbrock-2", "walled", "terraced"])
+    def test_every_budget_stops_where_scipy_does(self, case):
+        fn, x0 = _NM_CASES[case]
+        simplex = simplex_at(x0)
+        total = assert_same_run(fn, simplex, _NM_BUDGET)
+        for budget in range(1, total):
+            assert assert_same_run(fn, simplex, budget) == budget
+
+    def test_budgets_stop_inside_every_kind_of_step(self):
+        # the budgets above cut into the initial simplex, an expansion, a
+        # contraction and a shrink, so the partial steps are pinned as well
+        cut = {kind for case in ("rosenbrock-2", "walled", "terraced")
+               for first, end, kind in nelder_mead_steps(
+                   _NM_CASES[case][0], simplex_at(_NM_CASES[case][1]))
+               if end - first > 1}
+        assert cut == {"initial", "expansion", "contraction", "shrink"}
+
+    def test_ties_among_inf_losses(self):
+        fn, x0 = _NM_CASES["walled"]
+        losses = [fn(x) for x in simplex_at(x0)]
+        assert np.isfinite(losses[0]) and losses[1:] == [np.inf, np.inf]
+
+    def test_stops_on_tolerances(self):
+        fn, x0 = _NM_CASES["terraced"]
+        steps = nelder_mead_steps(fn, simplex_at(x0))
+        assert steps[-1][1] < _NM_BUDGET
+        assert assert_same_run(fn, simplex_at(x0), _NM_BUDGET) == steps[-1][1]
+
+
+def _criterion_08_fixture_fit():
+    """Criterion 08's likelihood warm start on the life-table fixture."""
+    mx = load_table(DATA / "synthetic_Mx_1x1.txt")
+    samp = implied_sample(mx, 2000, 2005)
+    em = fit_pi(samp.as_regression_sample(),
+                StructureSpec("generalized_coxian", 2), family="gompertz",
+                rng=np.random.default_rng(7),
+                config=PIFitConfig(max_outer=800, tol=1e-10, patience=5,
+                                   nm_budget=250))
+    theta = float(em.model.shape_param(np.zeros((1, 0)))[0])
+    init = IPHModel(em.model.rep, make_transform("gompertz", theta))
+    return init, curve_from_table(mx, 2000, 2005), DirectFitConfig(1500, 1)
+
+
+def _two_state_fit(ages, shift=0.0, start=None, config=DirectFitConfig(200, 0)):
+    true = two_state_gompertz()
+    curve = MortalityCurve(ages, model_log_mortality(true, ages) + shift)
+    return start or true, curve, config
+
+
+def _regression_fit():
+    rep = PHRepresentation([1.0], [[-2.0]])
+    true = PIModel(rep, "gompertz", beta=[0.4], gamma=[np.log(6.0)])
+    ages = np.arange(30, 100, 5)
+    curves = [([x], MortalityCurve(ages, model_log_mortality(true, ages, x_row=[x])))
+              for x in (0.0, 1.0)]
+    start = PIModel(rep, "gompertz", beta=[0.1], gamma=[np.log(4.0)])
+    return start, curves, DirectFitConfig(2000, 2)
+
+
+#: the fits of TestDirectFit and criterion 08, as (start, curves, config)
+_DIRECT_FITS = {
+    "exact-start": lambda: _two_state_fit(np.arange(0, 101, 2)),
+    "representable": lambda: _two_state_fit(
+        np.arange(0, 101, 2), config=DirectFitConfig(4000, 3),
+        start=IPHModel(PHRepresentation([0.6, 0.4], [[-3.6, 1.1], [0.0, -4.2]]),
+                       make_transform("gompertz", 5.0))),
+    "noisy": lambda: _two_state_fit(
+        np.arange(0, 101, 5), 0.05 * np.sin(np.arange(21)),
+        start=IPHModel(PHRepresentation([0.5, 0.5], [[-2.0, 1.0], [0.0, -4.0]]),
+                       make_transform("gompertz", 5.5)),
+        config=DirectFitConfig(300, 1)),
+    "shifted": lambda: _two_state_fit(np.arange(0, 101, 5), 0.1),
+    "zero-start-weight": lambda: (
+        IPHModel(PHRepresentation([1.0, 0.0], [[-3.0, 1.5], [0.0, -5.0]]),
+                 make_transform("gompertz", 6.0)),
+        MortalityCurve(np.arange(20, 90, 5), model_log_mortality(
+            two_state_gompertz(), np.arange(20, 90, 5)) + 0.05),
+        DirectFitConfig(200, 0)),
+    "identity": lambda: (IPHModel(PHRepresentation([1.0], [[-1.0]])),
+                         MortalityCurve(np.arange(40, 60), np.full(20, np.log(0.03))),
+                         DirectFitConfig(500, 1)),
+    "regression": _regression_fit,
+    "criterion-08-fixture": _criterion_08_fixture_fit,
+}
+
+
+def _fit_bits(result):
+    model = result.model
+    arrays = [model.rep.pi, model.rep.T, result.loss_trace, np.float64(result.loss)]
+    if isinstance(model, PIModel):
+        arrays += [model.beta, model.gamma]
+    else:
+        arrays += [np.asarray(list(model.transform.params.values()), dtype=float)]
+    return [np.asarray(a).tobytes() for a in arrays], result.n_evaluations
+
+
+class TestDirectFitParity:
+    @pytest.mark.parametrize("case", list(_DIRECT_FITS))
+    def test_bitwise_equal_to_the_scipy_driven_fit(self, case, monkeypatch):
+        start, curves, config = _DIRECT_FITS[case]()
+        got = direct_fit(start, curves, config)
+        monkeypatch.setattr(mortality, "_nelder_mead", scipy_nelder_mead)
+        want = direct_fit(start, curves, config)
+        assert _fit_bits(got) == _fit_bits(want)
 
 
 class TestSelectOrder:
