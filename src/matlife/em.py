@@ -9,14 +9,18 @@ iteration.
 The E-step has two routes.  When the eigenvector matrix of ``T`` has
 condition number below :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the
 convolution integrals come in closed form from the cached eigen-factors,
-through divided differences of ``exp(lambda z)``.  That route is one folded
-kernel for every spectrum: ``z`` and the row weights are real, so the terms
-of the second member of a complex-conjugate eigenvalue pair are the
-conjugates of the first member's, and only the terms that involve a pair
-run in complex arithmetic; a real spectrum runs in real arithmetic
-throughout.  Otherwise (near-defective ``T``, such as a Coxian chain with
-nearly equal rates) each distinct ``z`` costs one Van Loan block
-exponential.
+through divided differences of ``exp(lambda z)``, in one pass over the
+sample: one ``exp(z lambda)`` for every row of both observation groups,
+and per group one weighted sum per eigenvalue, ``se``.  By linearity the
+sum of each divided difference is ``(se_i - se_j) / (lambda_i -
+lambda_j)``; only the entries where that difference cancels are summed row
+by row with ``expm1`` (:func:`_eigen_sums`).  ``z`` and the row weights are
+real, so the terms of the second member of a complex-conjugate eigenvalue
+pair are the conjugates of the first member's, and only the terms that
+involve a pair run in complex arithmetic; a real spectrum runs in real
+arithmetic throughout.  Otherwise (near-defective ``T``, such as a Coxian
+chain with nearly equal rates) each distinct ``z`` costs one Van Loan
+block exponential.
 
 The denominators of the E-step are the likelihood factors of its
 representation, so the E-step also yields that representation's
@@ -29,7 +33,6 @@ only after the last M-step, and ``fit_pi`` adds a coefficient step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -230,8 +233,10 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     When ``rep`` has cached eigen-factors (cond(V) below
     :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the test
     :func:`~matlife.phasetype.ph_products` uses) they come in closed form
-    from the spectrum, O(p^3 + n p^2) in all; otherwise from one Van Loan
-    block exponential per point (:func:`~matlife.linalg.expm_and_conv`).
+    from the spectrum, in one pass over the rows of both groups: O(p^3 + n p)
+    in all, plus O(n) for each entry that cancellation sends row by row
+    (:func:`_eigen_sums`); otherwise from one Van Loan block exponential
+    per point (:func:`~matlife.linalg.expm_and_conv`).
 
     The ``loglik`` field is the log-likelihood of ``rep`` on ``data``, summed
     from the E-step's own denominators (the density factor of observed rows,
@@ -239,35 +244,14 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     """
     sample = CensoredSample.coerce(data)
     agg = sample.aggregate()
-    p = rep.p
     spectrum = rep._spectrum
-
-    b = np.zeros(p)
-    v = np.zeros(p)
-    njump = np.zeros((p, p))
-    nabs = np.zeros(p)
-    loglik_value = 0.0
-
-    for observed, vec in ((True, rep.exit_rates), (False, np.ones(p))):
-        mask = agg.delta == 1 if observed else agg.delta == 0
-        if not mask.any():
-            continue
-        z = agg.z[mask]
-        w = agg.weight[mask]
-        if spectrum is None:
-            terms, denom = _stacked_terms(rep, vec, z, w, sample)
-        else:
-            terms, denom = _spectral_terms(rep, spectrum, vec, z, w, sample)
-        loglik_value += float(w @ np.log(denom))
-        b += terms.b
-        v += terms.v
-        njump += terms.njump
-        if observed:
-            nabs += terms.nabs
-
+    if spectrum is None:
+        b, v, njump, nabs, loglik_value = _van_loan_terms(rep, agg, sample)
+    else:
+        b, v, njump, nabs, loglik_value = _spectral_terms(rep, spectrum, agg, sample)
     np.fill_diagonal(njump, 0.0)
-    stats = SufficientStats(np.clip(b, 0, None), np.clip(v, 0, None),
-                            np.clip(njump, 0, None), np.clip(nabs, 0, None),
+    stats = SufficientStats(np.maximum(b, 0.0), np.maximum(v, 0.0),
+                            np.maximum(njump, 0.0), np.maximum(nabs, 0.0),
                             loglik_value)
     total = sample.total_weight
     if abs(stats.b.sum() - total) > 1e-8 * max(1.0, total):
@@ -275,17 +259,48 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     return stats
 
 
-def _check_denominators(denom: np.ndarray, z: np.ndarray,
+def _check_denominators(denom: np.ndarray, z: np.ndarray, observed,
                         sample: CensoredSample) -> None:
-    """Raise at the first row of ``sample`` whose likelihood is zero."""
-    if np.any(denom <= 0):
-        bad_z = z[np.argmin(denom)]
-        idx = int(np.flatnonzero(sample.z == bad_z)[0])
-        raise DegenerateObservationError(idx)
+    """Raise at the first row of ``sample`` whose ``(z, delta)`` matches a
+    row of ``z`` and ``observed`` (an array, or one flag for all rows) with
+    a zero likelihood factor ``denom``."""
+    bad = denom <= 0
+    if not bad.any():
+        return
+    zero = set(zip(z[bad].tolist(),
+                   np.broadcast_to(observed, z.shape)[bad].astype(int).tolist()))
+    for idx in np.flatnonzero(np.isin(sample.z, z[bad])).tolist():
+        if (sample.z[idx].item(), sample.delta[idx].item()) in zero:
+            raise DegenerateObservationError(idx)
+
+
+def _van_loan_terms(rep: PHRepresentation, agg: CensoredSample,
+                    sample: CensoredSample) -> SufficientStats:
+    """The E-step sums of :func:`e_step` without eigen-factors, group by
+    group (:func:`_stacked_terms`)."""
+    p = rep.p
+    b = np.zeros(p)
+    v = np.zeros(p)
+    njump = np.zeros((p, p))
+    nabs = np.zeros(p)
+    loglik_value = 0.0
+    for observed, vec in ((True, rep.exit_rates), (False, np.ones(p))):
+        mask = agg.delta == observed
+        if not mask.any():
+            continue
+        w = agg.weight[mask]
+        terms, denom = _stacked_terms(rep, vec, agg.z[mask], observed, w, sample)
+        loglik_value += float(w @ np.log(denom))
+        b += terms.b
+        v += terms.v
+        njump += terms.njump
+        if observed:
+            nabs += terms.nabs
+    return SufficientStats(b, v, njump, nabs, loglik_value)
 
 
 def _stacked_terms(rep: PHRepresentation, vec: np.ndarray, z: np.ndarray,
-                   w: np.ndarray, sample: CensoredSample
+                   observed: bool, w: np.ndarray, sample: CensoredSample
                    ) -> tuple[SufficientStats, np.ndarray]:
     """One group's E-step terms, and its denominators ``pi expm(Tz) vec``,
     from stacked Van Loan block exponentials."""
@@ -293,7 +308,7 @@ def _stacked_terms(rep: PHRepresentation, vec: np.ndarray, z: np.ndarray,
     ez, conv = expm_and_conv(t, np.outer(vec, pi), z)
     front = pi @ ez                      # (m, p): pi expm(Tz)
     denom = front @ vec                  # (m,)
-    _check_denominators(denom, z, sample)
+    _check_denominators(denom, z, observed, sample)
     scale = w / denom
     back = ez @ vec                      # (m, p): expm(Tz) vec
     return SufficientStats(pi * (scale @ back),
@@ -302,106 +317,184 @@ def _stacked_terms(rep: PHRepresentation, vec: np.ndarray, z: np.ndarray,
                            rep.exit_rates * (scale @ front)), denom
 
 
-def _spectral_terms(rep: PHRepresentation, spectrum: Spectrum, vec: np.ndarray,
-                    z: np.ndarray, w: np.ndarray, sample: CensoredSample
-                    ) -> tuple[SufficientStats, np.ndarray]:
-    """One group's E-step terms, and its denominators ``pi expm(Tz) vec``,
-    in the eigenbasis ``T = V diag(lam) V^-1``.
+def _spectral_terms(rep: PHRepresentation, spectrum: Spectrum,
+                    agg: CensoredSample, sample: CensoredSample
+                    ) -> SufficientStats:
+    """The E-step sums of :func:`e_step` in the eigenbasis
+    ``T = V diag(lam) V^-1``.
 
-    With ``r = pi V`` and ``c = V^-1 vec`` the convolution at ``z`` is
+    With ``r = pi V`` and ``c = V^-1 vec`` a group's convolution at ``z`` is
     ``V [(c r^T) * D(z)] V^-1`` for the divided differences
     ``D_ij(z) = (exp(lam_i z) - exp(lam_j z)) / (lam_i - lam_j)``, and
-    ``z exp(lam_i z)`` where ``lam_i == lam_j``.  Their sums over the data
-    come from :func:`_folded_sums`, for a real spectrum and one with
-    conjugate pairs alike.
+    ``z exp(lam_i z)`` where ``lam_i == lam_j``.  Their weighted sums over
+    each group come from :func:`_eigen_sums`, with the observed rows moved
+    ahead of the censored ones.  The denominators take their coefficients
+    ``r * c`` from the same ``c`` as the statistics, and each group changes
+    basis on its own: a rounding apart between the two, or adding the
+    groups in the eigenbasis first, is amplified by cond(V).
     """
-    vecs, vinv = spectrum.vecs, spectrum.vecs_inv
-    r = spectrum.start
-    c = vinv @ vec
-    denom, se, dd = _folded_sums(spectrum, r * c, z, w, sample)
-    conv = (vecs @ (np.outer(c, r) * dd) @ vinv).real    # sum of scale * conv
-    return SufficientStats(rep.pi * (vecs @ (se * c)).real,
-                           np.diagonal(conv),
-                           rep.T * conv.T,
-                           rep.exit_rates * ((se * r) @ vinv).real), denom
+    exit_rates = rep.exit_rates
+    z, w, groups = _by_group(spectrum, agg, exit_rates)
+    sums = _eigen_sums(spectrum, z, w, groups, sample)
+    vecs, vinv, r = spectrum.vecs, spectrum.vecs_inv, spectrum.start
+    b = conv = 0.0
+    nabs = np.zeros(rep.p)
+    for group, se, dd in zip(groups, sums.se, sums.dd):
+        b = b + vecs @ (se * group.c)
+        conv = conv + vecs @ (np.multiply.outer(group.c, r) * dd) @ vinv
+        if group.observed:
+            nabs = exit_rates * ((se * r) @ vinv).real
+    conv = conv.real
+    return SufficientStats(rep.pi * b.real, np.diagonal(conv), rep.T * conv.T, nabs,
+                           float(w @ np.log(sums.denom)))
 
 
-def _folded_sums(spectrum: Spectrum, coef: np.ndarray, z: np.ndarray,
-                 w: np.ndarray, sample: CensoredSample
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Denominators ``exp(z lam) @ coef``, ``se = scale @ exp(z lam)`` and
-    ``sum_m scale_m D(z_m)`` for the symmetric matrices ``D`` of
-    :func:`_spectral_terms`, with ``scale = w / denom``, taking ``exp`` of
-    one member per conjugate pair; with no pair all three are real arrays.
+#: a divided-difference sum is taken as ``(se_i - se_j) / (lam_i - lam_j)``
+#: unless that difference, times this factor, falls below the magnitude
+#: sums it came from, which would lose more than four bits to cancellation
+_CANCEL_FACTOR = 16
 
-    Each entry is written as ``exp(hi z) expm1((lo - hi) z) / (lo - hi)``
-    with ``hi`` the eigenvalue of larger real part, so no factor overflows
-    and near-equal eigenvalues lose no digits to cancellation; the weighted
-    ``exp(hi z)`` column is dotted with ``expm1`` before the division by the
-    gap.  The entries are summed one at a time: no temporary grows past the
-    size of ``exp(z lam)``, so the cost per call does not depend on how the
-    allocator returns large blocks.
 
-    Under the index map ``sigma`` that swaps the members of each pair,
-    ``exp(z lam_sigma(k)) = conj(exp(z lam_k))`` for real ``z``, so
-    ``se_sigma(k) = conj(se_k)`` and ``D_sigma(i)sigma(j) = conj(D_ij)``.
-    Each conjugate orbit of entries is summed once (:func:`_orbits`):
-    real-real entries in real arithmetic, the entry of a pair with itself as
-    the real ``sum scale Im(exp(lam z)) / Im(lam)``.
+class _Group(NamedTuple):
+    """The observed or the censored rows of an E-step sample, as a slice of
+    rows, with ``c = V^-1 vec`` for its ``vec`` (``t`` or ``1``)."""
+
+    observed: bool
+    rows: slice
+    c: np.ndarray
+
+
+def _by_group(spectrum: Spectrum, agg: CensoredSample, exit_rates: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, list[_Group]]:
+    """``z`` and weights of ``agg`` with its observed rows moved ahead of its
+    censored ones (each group keeps its order), and the groups present."""
+    observed = agg.delta == 1
+    n_observed = int(np.count_nonzero(observed))
+    z, w = agg.z, agg.weight
+    if 0 < n_observed < agg.n:
+        order = np.argsort(~observed, kind="stable")
+        z, w = z[order], w[order]
+    vinv = spectrum.vecs_inv
+    groups = []
+    if n_observed:
+        groups.append(_Group(True, slice(0, n_observed), vinv @ exit_rates))
+    if n_observed < agg.n:
+        groups.append(_Group(False, slice(n_observed, agg.n), vinv @ np.ones(vinv.shape[0])))
+    return z, w, groups
+
+
+class _EigenSums(NamedTuple):
+    """Output of :func:`_eigen_sums`: the denominators of all rows, one row
+    of ``se`` and ``dd`` per group, and the entries of ``dd`` (for every
+    group) summed row by row."""
+
+    denom: np.ndarray        # (m,)
+    se: np.ndarray           # (G, p) sum of scale * exp(z lam)
+    dd: np.ndarray           # (G, p, p) sum of scale * D(z)
+    by_row: np.ndarray       # (p, p) bool
+
+
+def _eigen_sums(spectrum: Spectrum, z: np.ndarray, w: np.ndarray,
+                groups: list[_Group], sample: CensoredSample) -> _EigenSums:
+    """Denominators ``exp(z lam) @ (r * c)`` of each group's rows, and for
+    each group ``se = scale @ exp(z lam)`` and ``sum_m scale_m D(z_m)`` over
+    its rows, for the symmetric matrices ``D`` of :func:`_spectral_terms`
+    and ``scale = w / denom``; with no conjugate pair all are real arrays.
+
+    One :func:`~matlife.phasetype._folded_exp` pass gives ``exp(z lam)``
+    for every row.  A product over each group's rows gives ``se``, the
+    magnitude sums ``sum |scale exp(z lam)|`` (``se`` itself for a real
+    eigenvalue) and the diagonal sums ``sum scale z exp(z lam)``.  Every
+    other entry is ``(se_i - se_j) / (lam_i - lam_j)`` (the entry of a pair
+    with its partner is ``Im(se_i) / Im(lam_i)``), since the sums are
+    linear.  Where that difference cancels, by :data:`_CANCEL_FACTOR`
+    against the magnitude sums, the entry is summed row by row as
+    ``exp(hi z) expm1((lo - hi) z) / (lo - hi)`` with ``hi`` the eigenvalue
+    of larger real part, so no factor overflows and near-equal eigenvalues
+    lose no digits; ``by_row`` marks those entries.  Exactly equal
+    eigenvalues take the diagonal sum.
     """
     lam, real, pairs = spectrum.eigvals, spectrum.real, spectrum.pairs
-    er, ec, (denom,) = _folded_exp(spectrum, z, coef)   # (m, #real), (m, #pairs)
-    denom = np.maximum(denom, 0.0)
-    _check_denominators(denom, z, sample)
+    r = spectrum.start
+    er, ec, factors = _folded_exp(spectrum, z, *(r * g.c for g in groups))
+    denom = np.maximum(factors[0] if len(groups) == 1 else
+                       np.concatenate([f[g.rows] for f, g in zip(factors, groups)]),
+                       0.0)
+    n_observed = groups[0].rows.stop if groups[0].observed else 0
+    _check_denominators(denom, z, np.arange(z.size) < n_observed, sample)
     scale = w / denom
-    se = np.empty(lam.size, dtype=lam.dtype)
-    se[real] = scale @ er
-    columns = list((scale[:, None] * er).T)
-    out = np.empty((lam.size, lam.size), dtype=lam.dtype)
+    weights = [(scale[g.rows], scale[g.rows] * z[g.rows], g.rows) for g in groups]
+    se = [s @ er[rows] for s, _, rows in weights]
+    diag = [sz @ er[rows] for _, sz, rows in weights]
     if pairs.size:
-        se[pairs] = scale @ ec
-        se[pairs + 1] = se[pairs].conj()
-        wc = scale[:, None] * ec
-        columns += [*wc.T, *wc.conj().T]
-        # each pair with itself
-        out[pairs, pairs + 1] = out[pairs + 1, pairs] = (wc.imag.sum(axis=0)
-                                                         / lam[pairs].imag)
+        mag = _unfold(spectrum, se, [s @ np.abs(ec[rows]) for s, _, rows in weights]).real
+        se = _unfold(spectrum, se, [s @ ec[rows] for s, _, rows in weights])
+        diag = _unfold(spectrum, diag, [sz @ ec[rows] for _, sz, rows in weights])
+    else:
+        se = mag = np.array(se)
+        diag = np.array(diag)
+
+    gap = np.subtract.outer(lam, lam)
+    differ = gap != 0
+    diff = se[:, :, None] - se[:, None, :]
+    # entries of equal eigenvalues keep the diagonal sum they start from
+    dd = np.divide(diff, gap, where=differ,
+                   out=np.repeat(diag[:, :, None], lam.size, axis=2))
+    by_row = differ & (np.abs(diff) * _CANCEL_FACTOR
+                       < mag[:, :, None] + mag[:, None, :]).any(axis=0)
+    if pairs.size:
+        dd[:, pairs, pairs + 1] = dd[:, pairs + 1, pairs] = (se[:, pairs].imag
+                                                             / lam[pairs].imag)
+        by_row[pairs, pairs + 1] = by_row[pairs + 1, pairs] = False
+    if by_row.any():
+        _sum_by_row(dd, by_row, spectrum, er, ec, scale, [g.rows for g in groups], z)
+    return _EigenSums(denom, se, dd, by_row)
+
+
+def _unfold(spectrum: Spectrum, on_real: list[np.ndarray],
+            on_pairs: list[np.ndarray]) -> np.ndarray:
+    """Per-group sums over the real eigenvalues and over the first member of
+    each conjugate pair, as one ``(G, p)`` array in the order of the
+    eigenvalues, the second members taking the conjugates."""
+    real, pairs = spectrum.real, spectrum.pairs
+    out = np.empty((len(on_real), spectrum.eigvals.size), dtype=complex)
+    out[:, real] = on_real
+    out[:, pairs] = on_pairs
+    out[:, pairs + 1] = np.conj(on_pairs)
+    return out
+
+
+def _sum_by_row(dd: np.ndarray, by_row: np.ndarray, spectrum: Spectrum,
+                er: np.ndarray, ec: np.ndarray | None, scale: np.ndarray,
+                groups: list[slice], z: np.ndarray) -> None:
+    """Fill the entries ``by_row`` of ``dd`` by the per-row ``expm1`` dot of
+    :func:`_eigen_sums`, over the rows of each group.  The entry with the
+    members of each conjugate pair swapped is the conjugate, so each such
+    couple is summed once, from the ``exp`` columns of
+    :func:`~matlife.phasetype._folded_exp`."""
+    lam, real, pairs = spectrum.eigvals, spectrum.real, spectrum.pairs
     roots = [x.real if x.imag == 0 else x for x in lam.tolist()]
-    for i, j, si, sj, ci, cj in _orbits(lam.size, tuple(pairs.tolist())):
-        hi, lo, col = (i, j, ci) if roots[i].real > roots[j].real else (j, i, cj)
-        gap = roots[lo] - roots[hi]
-        if gap == 0:
-            val = columns[col] @ z
-        else:
-            val = columns[col] @ np.expm1(z * gap) / gap
-        out[i, j] = out[j, i] = val
-        if (si, sj) != (i, j):
-            out[si, sj] = out[sj, si] = val.conjugate()
-    return denom, se, out
-
-
-@cache
-def _orbits(p: int, pairs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Entries ``(i, j, si, sj, ci, cj)`` that :func:`_folded_sums` sums for
-    an order-``p`` spectrum whose conjugate pairs start at ``pairs``: one
-    ``i <= j`` per conjugate orbit, leaving out each pair with itself.
-    ``(si, sj)`` is the entry with the members of each pair swapped, whose
-    value is the conjugate; ``ci`` and ``cj`` index the weighted ``exp``
-    columns of ``i`` and ``j`` among the real eigenvalues, then the pairs'
-    first members, then their second members (conjugated).  The table
-    depends on the layout alone, so each layout is worked out once."""
-    second = {k + 1 for k in pairs}
-    real = [k for k in range(p) if k not in second and k not in pairs]
-    sigma, col = list(range(p)), [0] * p
-    for n, k in enumerate(real):
-        col[k] = n
-    for n, k in enumerate(pairs):
-        sigma[k], sigma[k + 1] = k + 1, k
-        col[k], col[k + 1] = len(real) + n, len(real) + len(pairs) + n
-    return tuple((i, j, sigma[i], sigma[j], col[i], col[j])
-                 for i in range(p) for j in range(i, p)
-                 if tuple(sorted((sigma[i], sigma[j]))) >= (i, j)
-                 and not j == sigma[i] != i)
+    column = dict(zip(real.tolist(), er.T))
+    swap = list(range(lam.size))
+    for n, k in enumerate(pairs.tolist()):
+        column[k] = ec[:, n]
+        swap[k], swap[k + 1] = k + 1, k
+    done = set()
+    rows, cols = np.nonzero(by_row)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i > j or (i, j) in done:
+            continue
+        si, sj = swap[i], swap[j]
+        hi, lo = (i, j) if roots[i].real > roots[j].real else (j, i)
+        if hi not in column:        # a second member: sum the swapped entry
+            i, j, si, sj, hi, lo = si, sj, i, j, swap[hi], swap[lo]
+        step = roots[lo] - roots[hi]
+        weighted = scale * column[hi]
+        growth = np.expm1(z * step)
+        val = np.array([weighted[g] @ growth[g] for g in groups]) / step
+        dd[:, i, j] = dd[:, j, i] = val
+        dd[:, si, sj] = dd[:, sj, si] = val.conj()
+        done.update({(min(i, j), max(i, j)), (min(si, sj), max(si, sj))})
 
 
 def m_step(stats: SufficientStats, total_weight: float, spec: StructureSpec,

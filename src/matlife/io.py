@@ -100,12 +100,12 @@ def model_from_dict(data: dict):
 
 
 def save_model(path, model) -> None:
-    """Write ``model`` as JSON; a model that does not serialize raises
-    :class:`InvalidInputError` and leaves any file at ``path`` as it was."""
-    data = model_to_dict(model)
+    """Write ``model`` as JSON in one call.  The text is built before the
+    file is opened, so a model that does not serialize (which raises
+    :class:`InvalidInputError`) leaves any file at ``path`` as it was."""
+    text = json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path):
@@ -133,11 +133,12 @@ _BLANK = string.whitespace + ","
 
 def _read_text(source) -> str:
     """The whole text of a path, or of an object with a ``read`` method.
-    Bytes that are not UTF-8 raise :class:`InvalidInputError`."""
+    Bytes that are not UTF-8 raise :class:`InvalidInputError`; a file's
+    leading byte-order mark, as spreadsheet programs write it, is dropped."""
     try:
         if hasattr(source, "read"):
             return source.read()
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as err:
         name = getattr(source, "name", source)

@@ -413,3 +413,49 @@ def mc_conditional_stats(rep, z, observed, n_paths, rng, kernel=0.005):
     means = SufficientStats(*[s.mean(axis=0) for s in stats])
     ses = SufficientStats(*[s.std(axis=0) / np.sqrt(m) for s in stats])
     return means, ses, m
+
+
+def mp_e_step(rep, data, dps=50):
+    """The E-step statistics of ``rep`` on ``data`` to ``dps`` digits: each
+    row's ``expm(Tz)`` and convolution come from one Van Loan block
+    ``expm([[T, vec pi], [0, T]] z)`` by ``mpmath.expm``, on the exact
+    binary values of ``rep`` (reference for the E-step; order at most 4 and
+    at most 10 distinct ``z``, since each row costs one block exponential).
+    """
+    import mpmath  # loaded on call: the benchmark loads this module in set-up
+
+    agg = data.aggregate()
+    p = rep.p
+    if p > 4 or np.unique(agg.z).size > 10:
+        raise ValueError("the oracle takes order <= 4 and <= 10 distinct z")
+    with mpmath.workdps(dps):
+        t = mpmath.matrix(rep.T.tolist())
+        pi = mpmath.matrix([rep.pi.tolist()])
+        ones = mpmath.ones(p, 1)
+        exit_rates = -(t * ones)
+        b, v, nabs = (mpmath.zeros(p, 1) for _ in range(3))
+        njump = mpmath.zeros(p, p)
+        loglik = mpmath.mpf(0)
+        for z, delta, w in zip(agg.z.tolist(), agg.delta.tolist(), agg.weight.tolist()):
+            vec = exit_rates if delta else ones
+            block = mpmath.zeros(2 * p, 2 * p)
+            block[:p, :p] = block[p:, p:] = t
+            block[:p, p:] = vec * pi
+            full = mpmath.expm(block * z)
+            ez, conv = full[:p, :p], full[:p, p:]
+            front, back = pi * ez, ez * vec
+            denom = (front * vec)[0]
+            scale = mpmath.mpf(w) / denom
+            loglik += w * mpmath.log(denom)
+            for k in range(p):
+                b[k] += scale * pi[k] * back[k]
+                v[k] += scale * conv[k, k]
+                if delta:
+                    nabs[k] += scale * exit_rates[k] * front[k]
+                for l in range(p):
+                    if l != k:
+                        njump[k, l] += scale * t[k, l] * conv[l, k]
+        as_array = lambda m: np.array(m.tolist(), dtype=float)
+        return SufficientStats(as_array(b).ravel(), as_array(v).ravel(),
+                               as_array(njump), as_array(nabs).ravel(),
+                               float(loglik))

@@ -269,6 +269,13 @@ class TestFitPh:
         values = np.array([float(r[1]) for r in rows[1:]])
         assert np.all(np.diff(values) >= -1e-9 * np.abs(values[0]))
 
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet programs save CSV with a UTF-8 byte-order mark
+        p = write_sample_csv(tmp_path / "s.csv", n=40)
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+        assert run("fit-ph", p, "--order", 1, "--max-iter", 5,
+                   "--out-dir", tmp_path / "out") == 0
+
     def test_rerun_is_byte_identical(self, tmp_path):
         p = write_sample_csv(tmp_path / "s.csv")
         a, b = tmp_path / "a", tmp_path / "b"

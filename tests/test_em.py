@@ -35,6 +35,7 @@ from matlife.phasetype import IPHModel, PHRepresentation
 from helpers import (
     aggregate_by_unique,
     mc_conditional_stats,
+    mp_e_step,
     random_representation,
     rotating_representation,
     unfolded_divided_differences,
@@ -243,6 +244,28 @@ def near_equal_chain(gap):
     return PHRepresentation([1.0, 0.0, 0.0], t)
 
 
+def assert_eigen_sums_match_unfolded(rep, data):
+    """The spectral E-step's sums over each group of ``data``, as
+    :func:`em.e_step` forms them, match the unfolded sums over every
+    eigenvalue: denominators, ``se`` and the divided-difference sums."""
+    spectrum = rep._spectrum
+    agg = data.aggregate()
+    z, w, groups = em._by_group(spectrum, agg, rep.exit_rates)
+    sums = em._eigen_sums(spectrum, z, w, groups, agg)
+    e = np.exp(np.multiply.outer(z, spectrum.eigvals))
+    for group, se, dd in zip(groups, sums.se, sums.dd):
+        rows = group.rows
+        denom = sums.denom[rows]
+        assert_allclose(denom, (e[rows] @ (spectrum.start * group.c)).real,
+                        rtol=1e-13, atol=0)
+        scale = w[rows] / denom
+        want_se = scale @ e[rows]
+        want = unfolded_divided_differences(spectrum.eigvals, z[rows], scale)
+        assert_allclose(se, want_se, rtol=1e-13, atol=1e-13 * np.abs(want_se).max())
+        assert_allclose(dd, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    return sums, z, e, groups
+
+
 #: a sample with ties, both groups and unequal weights
 ROUTE_SAMPLE = CensoredSample(
     np.r_[np.linspace(0.05, 30.0, 40), [0.05, 2.0, 2.0, 7.5]],
@@ -253,8 +276,8 @@ ROUTE_SAMPLE = CensoredSample(
 class TestSpectralEStep:
     """The closed-form eigenbasis E-step against the Van Loan route.
 
-    Over these cases the routes differed by at most 7.3e-11 normwise (a
-    10-state Coxian chain with cond(V) 9.2e5), 13 times inside the tolerance.
+    Over these cases the routes differed by at most 1.4e-10 normwise (a
+    10-state Coxian chain with cond(V) 9.8e5), 7 times inside the tolerance.
     """
 
     @pytest.mark.parametrize("p", [1, 2, 5, 10])
@@ -298,40 +321,25 @@ class TestSpectralEStep:
         random_representation(np.random.default_rng(3), 6),
     ])
     def test_folded_sums_match_unfolded(self, rep):
-        spectrum = rep._spectrum
-        assert spectrum.pairs.size
-        z, w = ROUTE_SAMPLE.z, ROUTE_SAMPLE.weight
-        for coef in (spectrum.exit_coef, spectrum.ones_coef):
-            denom, se, dd = em._folded_sums(spectrum, coef, z, w, ROUTE_SAMPLE)
-            e = np.exp(np.multiply.outer(z, spectrum.eigvals))
-            assert_allclose(denom, (e @ coef).real, rtol=1e-13, atol=0)
-            scale = w / denom
-            want = unfolded_divided_differences(spectrum.eigvals, z, scale)
-            assert_allclose(se, scale @ e, rtol=1e-13,
-                            atol=1e-13 * np.abs(scale @ e).max())
-            assert_allclose(dd, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        assert rep._spectrum.pairs.size
+        assert_eigen_sums_match_unfolded(rep, ROUTE_SAMPLE)
 
     @pytest.mark.parametrize("kind", ["general", "coxian"])
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_real_spectra_fold_to_the_unfolded_sums_bitwise(self, p, kind):
-        # with no conjugate pair the folded sums run in real arithmetic and
-        # divide by each gap after the dot product, as the reference does
-        z, w = ROUTE_SAMPLE.z, ROUTE_SAMPLE.weight
+        # with no conjugate pair the sums run in real arithmetic, and the
+        # denominators are the unfolded products' bits
         checked = 0
         for seed in range(6):
-            spectrum = random_representation(np.random.default_rng(seed), p,
-                                             kind)._spectrum
-            if spectrum.pairs.size:
+            rep = random_representation(np.random.default_rng(seed), p, kind)
+            if rep._spectrum.pairs.size:
                 continue
-            e = np.exp(np.multiply.outer(z, spectrum.eigvals))
-            for coef in (spectrum.exit_coef, spectrum.ones_coef):
-                denom, se, dd = em._folded_sums(spectrum, coef, z, w, ROUTE_SAMPLE)
-                scale = w / denom
-                assert not np.iscomplexobj(se) and not np.iscomplexobj(dd)
-                assert np.array_equal(denom, np.maximum(e @ coef, 0.0))
-                assert np.array_equal(se, scale @ e)
-                assert np.array_equal(
-                    dd, unfolded_divided_differences(spectrum.eigvals, z, scale))
+            sums, z, e, groups = assert_eigen_sums_match_unfolded(rep, ROUTE_SAMPLE)
+            assert not np.iscomplexobj(sums.se) and not np.iscomplexobj(sums.dd)
+            for group in groups:
+                coef = rep._spectrum.start * group.c
+                assert np.array_equal(sums.denom[group.rows],
+                                      np.maximum(e @ coef, 0.0)[group.rows])
             checked += 1
         assert checked
 
@@ -343,6 +351,19 @@ class TestSpectralEStep:
         lam = rep._spectrum.eigvals
         assert rep._spectrum.pairs.size == 2
         assert lam[rep._spectrum.pairs[0]] == lam[rep._spectrum.pairs[1]]
+        assert_routes_agree(rep, ROUTE_SAMPLE)
+
+    def test_near_repeated_complex_pairs_sum_by_row(self):
+        # two rotations whose rates differ by 1e-4: the sums between their
+        # pairs cancel, and those of the second members are the conjugates
+        cycle = np.roll(np.eye(3), 1, axis=1)
+        t = np.zeros((6, 6))
+        t[:3, :3], t[3:, 3:] = 0.8 * cycle, (0.8 + 1e-4) * cycle
+        np.fill_diagonal(t, -(t.sum(axis=1) + np.repeat([0.3, 0.3 + 1e-4], 3)))
+        rep = PHRepresentation(np.full(6, 1 / 6), t)
+        first, second = rep._spectrum.pairs
+        sums = assert_eigen_sums_match_unfolded(rep, ROUTE_SAMPLE)[0]
+        assert sums.by_row[first, second] and sums.by_row[first + 1, second + 1]
         assert_routes_agree(rep, ROUTE_SAMPLE)
 
     def test_exactly_repeated_rates(self):
@@ -390,6 +411,65 @@ class TestSpectralEStep:
         with pytest.raises(DegenerateObservationError) as info:
             e_step(rep, data)
         assert info.value.index == 2
+
+    def test_zero_density_raises_at_the_row_with_that_status(self):
+        # row 0 is censored, with survival 1; row 2 has the same z, but its
+        # density 2 (exp(-z) - exp(-2z)) rounds to zero
+        rep = PHRepresentation([1.0, 0.0], [[-1.0, 1.0], [0.0, -2.0]])
+        assert rep._spectrum is not None
+        data = CensoredSample([1e-17, 0.5, 1e-17], [0, 1, 1], [1.0, 1.0, 1.0])
+        with pytest.raises(DegenerateObservationError) as info:
+            e_step(rep, data)
+        assert info.value.index == 2
+
+
+#: a sample small enough for the 50-digit oracle: both groups, a time tied
+#: within a group and one tied across them, unequal weights
+ORACLE_SAMPLE = CensoredSample([0.05, 0.4, 0.4, 1.3, 2.0, 3.7, 6.0, 11.0, 11.0],
+                               [1, 0, 1, 1, 0, 1, 0, 1, 0], np.linspace(0.5, 2.0, 9))
+
+
+def oracle_error(rep):
+    """Largest relative error of the E-step against the 50-digit oracle,
+    normwise per statistic and of the log-likelihood."""
+    got, want = e_step(rep, ORACLE_SAMPLE), mp_e_step(rep, ORACLE_SAMPLE)
+    errors = [np.linalg.norm(g - w) / np.linalg.norm(w)
+              for g, w in zip(got[:4], want[:4])]
+    return max(errors + [abs(got.loglik - want.loglik) / abs(want.loglik)])
+
+
+class TestEStepOracle:
+    """The spectral E-step against :func:`helpers.mp_e_step`."""
+
+    def test_complex_pair(self):
+        t = np.array([[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.5, 0.0, -2.0]])
+        rep = PHRepresentation([0.5, 0.3, 0.2], t)
+        assert rep._spectrum.pairs.size == 1
+        assert oracle_error(rep) < 1e-12
+
+    def test_well_separated_real_rates(self):
+        t = np.array([[-1.0, 0.5, 0.1], [0.0, -3.0, 1.0], [0.2, 0.0, -7.0]])
+        rep = PHRepresentation([0.3, 0.3, 0.4], t)
+        lam = np.sort(rep._spectrum.eigvals)
+        assert not np.iscomplexobj(lam) and np.diff(lam).min() > 1.0
+        assert oracle_error(rep) < 1e-12
+
+    # ``before``: the error, rounded up, when every divided difference was
+    # summed row by row; the rounding amplified by cond(V) dominates it
+    @pytest.mark.parametrize("gap,before", [(1e-2, 9.3e-13), (10 ** -2.5, 1.2e-11),
+                                            (1e-3, 6.0e-11)])
+    def test_near_equal_rates_sum_by_row(self, gap, before):
+        rep = near_equal_chain(gap)
+        assert rep._spectrum is not None
+        agg = ORACLE_SAMPLE.aggregate()
+        z, w, groups = em._by_group(rep._spectrum, agg, rep.exit_rates)
+        assert em._eigen_sums(rep._spectrum, z, w, groups, agg).by_row.any()
+        assert oracle_error(rep) <= before
+
+    def test_oracle_size_is_bounded(self):
+        with pytest.raises(ValueError):
+            mp_e_step(random_representation(np.random.default_rng(0), 5),
+                      ORACLE_SAMPLE)
 
 
 class TestMStep:

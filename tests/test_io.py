@@ -1,5 +1,6 @@
 import csv
 import io as stringio
+import json
 
 import numpy as np
 import pytest
@@ -188,12 +189,34 @@ class TestReadSurvivalCsv:
             read_survival_csv(stringio.StringIO(text + "abc,1\r\n"))
         assert err.value.line == 5
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(CSV_TEXT.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + CSV_TEXT.encode())
+        want, got = read_survival_csv(plain), read_survival_csv(marked)
+        assert got.covariate_names == want.covariate_names == ["karno", "age"]
+        for name in ("y", "delta", "weight", "x"):
+            np.testing.assert_array_equal(getattr(got.sample, name),
+                                          getattr(want.sample, name))
+
     def test_digit_underscores_rejected(self):
         # float() accepts "1_0"; the numpy parser does not
         text = "time,status\n2.0,1\n1_0,1\n"
         with pytest.raises(TableParseError) as err:
             read_survival_csv(stringio.StringIO(text))
         assert err.value.line == 3
+
+
+class TestSaveModelText:
+    @pytest.mark.parametrize("idx", [1, 4], ids=["lifetime", "regression"])
+    def test_bytes_are_the_streamed_json(self, tmp_path, idx):
+        # one write of the whole text gives the bytes json.dump streams
+        model = models()[idx]
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        streamed = stringio.StringIO()
+        json.dump(model_to_dict(model), streamed, indent=2, sort_keys=True)
+        assert path.read_bytes() == (streamed.getvalue() + "\n").encode("utf-8")
 
 
 class TestWriteReadCycle:
