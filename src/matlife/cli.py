@@ -70,8 +70,6 @@ _PARSE_ERRORS = (TableParseError, InvalidInputError, FileNotFoundError,
 _NUMERIC_ERRORS = (DegenerateObservationError, DeadStateError,
                    ScoreOverflowError, DomainError, MemoryError)
 
-_STRUCTURES = ("general", "coxian", "generalized_coxian")
-
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose rejections raise :class:`InvalidInputError`, so
@@ -128,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fit-ph", help="fit a homogeneous lifetime model by EM")
     p.add_argument("data", help="CSV with time,status[,weight] columns")
     p.add_argument("--order", type=_at_least(1), default=2, help="number of states")
-    p.add_argument("--structure", choices=_STRUCTURES, default="general")
+    p.add_argument("--structure", choices=StructureSpec.KINDS, default="general")
     p.add_argument("--max-iter", type=_at_least(0), default=2000)
     p.add_argument("--tol", type=_at_least(0, float), default=1e-7)
     _add_common(p)
@@ -137,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("fit-pi", help="fit a regression model with covariates")
     p.add_argument("data", help="CSV with time,status[,weight],covariates")
     p.add_argument("--order", type=_at_least(1), default=2)
-    p.add_argument("--structure", choices=_STRUCTURES, default="coxian")
+    p.add_argument("--structure", choices=StructureSpec.KINDS, default="coxian")
     p.add_argument("--family", choices=tuple(FAMILIES), default="weibull")
     p.add_argument("--shape-covariates", action="store_true",
                    help="regress the transform parameter on the covariates as well")
@@ -154,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fit a lifetime model to a period life table")
     _add_table(p)
     p.add_argument("--order", type=_at_least(1), default=2)
-    p.add_argument("--structure", choices=_STRUCTURES, default="generalized_coxian")
+    p.add_argument("--structure", choices=StructureSpec.KINDS,
+                   default="generalized_coxian")
     p.add_argument("--family", choices=tuple(FAMILIES), default="gompertz")
     p.add_argument("--em-iters", type=_at_least(1), default=200,
                    help="outer iterations for the likelihood warm start")

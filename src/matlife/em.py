@@ -166,12 +166,87 @@ class StructureSpec:
         return self.kind in ("coxian", "generalized_coxian")
 
 
+class _Layout(NamedTuple):
+    """Positions of a representation's free parameters: the off-diagonal
+    rates (row by row), the exit rates, and the start weights, which are
+    free when there are two or more.  Every parameter count, the EM start
+    and the direct fit read this one layout."""
+
+    p: int
+    off: tuple
+    exits: np.ndarray
+    starts: np.ndarray
+
+    def count(self) -> int:
+        """The rates and all start weights but one (they sum to one)."""
+        return self.off[0].size + self.exits.size + self.starts.size - 1
+
+    def compose(self, off_rates, exit_rates, weights) -> PHRepresentation:
+        """The representation with these values at the layout's positions
+        and zeros elsewhere; the diagonal makes up the row sums."""
+        t = np.zeros((self.p, self.p))
+        t[self.off] = off_rates
+        exits = np.zeros(self.p)
+        exits[self.exits] = exit_rates
+        np.fill_diagonal(t, -(t.sum(axis=1) + exits))
+        pi = np.zeros(self.p)
+        pi[self.starts] = weights
+        return PHRepresentation(pi, t)
+
+
+def _structure_layout(spec: StructureSpec) -> _Layout:
+    """The layout of what ``spec`` frees: every off-diagonal rate (the
+    superdiagonal one of an ordered kind), every exit rate, and every start
+    weight (the first state's alone with a fixed start)."""
+    p = spec.p
+    try:
+        free = np.zeros((p, p))
+    except ValueError as err:  # numpy refuses the shape before allocating
+        raise MemoryError(f"order {p} is too large: {err}") from None
+    states = np.arange(p)
+    if spec.ordered:
+        free[states[:-1], states[1:]] = 1.0
+    else:
+        free += 1.0
+        free[states, states] = 0.0
+    return _Layout(p, np.nonzero(free), states,
+                   states if spec.free_start else states[:1])
+
+
+def _pattern(model) -> _Layout:
+    """The layout of the strictly positive rates and start weights of
+    ``model``'s representation."""
+    rep = model.rep
+    return _Layout(rep.p, np.nonzero(rep.T > 0), np.flatnonzero(rep.exit_rates > 0),
+                   np.flatnonzero(rep.pi > 0))
+
+
+def _pack_rep(rep: PHRepresentation, layout: _Layout) -> np.ndarray:
+    """``rep``'s coordinates on ``layout``: the log off-diagonal and exit
+    rates, then the log start weights when they are free."""
+    weights = np.log(rep.pi[layout.starts]) if layout.starts.size > 1 else []
+    return np.concatenate([np.log(rep.T[layout.off]),
+                           np.log(rep.exit_rates[layout.exits]), weights])
+
+
+def _unpack_rep(vec: np.ndarray, layout: _Layout):
+    """The representation that ``vec`` starts with (see :func:`_pack_rep`),
+    the start weights through a softmax, and the rest of ``vec``."""
+    n_off = layout.off[0].size
+    n_rates = n_off + layout.exits.size
+    end, weights = n_rates, 1.0
+    if layout.starts.size > 1:
+        end += layout.starts.size
+        logw = vec[n_rates:end]
+        w = np.exp(logw - logw.max())
+        weights = w / w.sum()
+    rep = layout.compose(np.exp(vec[:n_off]), np.exp(vec[n_off:n_rates]), weights)
+    return rep, vec[end:]
+
+
 def n_free_parameters(spec: StructureSpec) -> int:
     """Free parameters of the representation under the given structure."""
-    p = spec.p
-    t_params = (2 * p - 1) if spec.ordered else p * p
-    pi_params = (p - 1) if spec.free_start else 0
-    return t_params + pi_params
+    return _structure_layout(spec).count()
 
 
 @dataclass(frozen=True)
@@ -199,25 +274,11 @@ def init_structure(spec: StructureSpec, rng=None) -> PHRepresentation:
     vector is drawn from the flat Dirichlet.
     """
     rng = np.random.default_rng(rng)
-    p = spec.p
-    try:
-        t = np.zeros((p, p))
-    except ValueError as err:  # numpy refuses the shape before allocating
-        raise MemoryError(f"order {p} is too large: {err}") from None
-    if spec.ordered:
-        for k in range(p - 1):
-            t[k, k + 1] = rng.uniform()
-    else:
-        mask = ~np.eye(p, dtype=bool)
-        t[mask] = rng.uniform(size=p * (p - 1))
-    exit_rates = rng.uniform(size=p)
-    np.fill_diagonal(t, -(t.sum(axis=1) + exit_rates))
-    if spec.free_start:
-        pi = rng.dirichlet(np.ones(p))
-    else:
-        pi = np.zeros(p)
-        pi[0] = 1.0
-    return PHRepresentation(pi, t)
+    layout = _structure_layout(spec)
+    off_rates = rng.uniform(size=layout.off[0].size)
+    exit_rates = rng.uniform(size=spec.p)
+    weights = rng.dirichlet(np.ones(spec.p)) if spec.free_start else 1.0
+    return layout.compose(off_rates, exit_rates, weights)
 
 
 def e_step(rep: PHRepresentation, data) -> SufficientStats:

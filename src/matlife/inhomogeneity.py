@@ -224,6 +224,19 @@ def transform_family(family: str) -> type:
     return cls
 
 
+def _plain_params(transform) -> dict:
+    """The parameters of a plain-family transform whose parameter is a
+    scalar, as saved in model files and fitted directly; any other transform
+    raises :class:`InvalidInputError`."""
+    if transform.family not in FAMILIES:
+        raise InvalidInputError("expected a plain transform family; rebuild shifted "
+                                "or scaled models from their base")
+    params = transform.params
+    if any(np.ndim(value) for value in params.values()):
+        raise InvalidInputError("expected a scalar transform parameter")
+    return params
+
+
 def make_transform(family: str, param=None):
     """Build a transform from a family name and its parameter (a scalar, or an
     array with one value per point), given exactly when the family has one."""

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InvalidInputError, TableParseError
-from .inhomogeneity import FAMILIES, make_transform, transform_family
+from .inhomogeneity import _plain_params, make_transform, transform_family
 from .phasetype import IPHModel, PHRepresentation
 from .regression import PIModel, RegressionSample
 
@@ -58,19 +58,12 @@ def model_to_dict(model) -> dict:
             "standardization": model.standardization,
         }
     if isinstance(model, IPHModel):
-        family = model.transform.family
-        if family not in FAMILIES:
-            raise InvalidInputError(
-                "only plain transform families serialize; rebuild shifted or "
-                "scaled models from their base")
-        params = model.transform.params
-        if any(np.ndim(value) for value in params.values()):
-            raise InvalidInputError("only a scalar transform parameter serializes")
+        params = _plain_params(model.transform)
         return {
             "kind": "lifetime",
             "pi": model.rep.pi.tolist(),
             "T": model.rep.T.tolist(),
-            "family": family,
+            "family": model.transform.family,
             "params": {name: float(value) for name, value in params.items()},
         }
     raise InvalidInputError("model must be a lifetime or regression model")

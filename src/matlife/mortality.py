@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidInputError, TableParseError
-from .inhomogeneity import FAMILIES, make_transform
+from .em import CensoredSample, _pack_rep, _pattern, _unpack_rep
+from .exceptions import (DomainError, InvalidInputError, ScoreOverflowError,
+                         TableParseError)
+from .inhomogeneity import _plain_params, make_transform
 from .io import _BLOCK_ROWS, _read_rows, _read_text
-from .phasetype import IPHModel, PHRepresentation
+from .phasetype import IPHModel
 from .regression import PIModel, RegressionSample
-from .em import CensoredSample
+from .regression import _pack as _pack_coefficients, _unpack as _unpack_coefficients
 
 __all__ = [
     "LifeTable",
@@ -388,92 +389,25 @@ class DirectFitResult:
     n_evaluations: int
 
 
-class _Pattern(NamedTuple):
-    """Frozen sparsity pattern and packing layout of the free parameters."""
-
-    p: int
-    off_idx: tuple
-    exit_idx: np.ndarray
-    pi_idx: np.ndarray
-    pi_free: bool
-    family: str
-    n_extra: int
-
-
-def _build_pattern(model) -> _Pattern:
+def _clock_or_coefficients(model) -> np.ndarray:
+    """The direct fit's coordinates after the representation's: the log
+    clock parameter, or a regression model's coefficients."""
     if isinstance(model, PIModel):
-        rep, family = model.rep, model.family
-        n_extra = model.beta.size + (0 if model.gamma is None else model.gamma.size)
-    else:
-        rep, family = model.rep, model.transform.family
-        if family not in FAMILIES:
-            raise InvalidInputError(
-                "direct fitting needs a plain transform family")
-        params = model.transform.params
-        if any(np.ndim(value) for value in params.values()):
-            raise InvalidInputError(
-                "direct fitting needs a scalar transform parameter")
-        n_extra = len(params)
-    t = rep.T
-    off_mask = t > 0
-    np.fill_diagonal(off_mask, False)
-    off_idx = tuple(np.argwhere(off_mask).T)
-    exit_idx = np.flatnonzero(rep.exit_rates > 0)
-    if exit_idx.size == 0:
-        raise InvalidInputError("model has no exit rates to fit")
-    pi_idx = np.flatnonzero(rep.pi > 0)
-    return _Pattern(rep.p, off_idx, exit_idx, pi_idx, pi_idx.size > 1,
-                    family, n_extra)
+        return _pack_coefficients(model.beta, model.gamma)
+    return np.log(list(_plain_params(model.transform).values()))
 
 
-def _pack(model, pattern: _Pattern) -> np.ndarray:
-    rep = model.rep
-    parts = [np.log(rep.T[pattern.off_idx]) if len(pattern.off_idx[0]) else
-             np.empty(0),
-             np.log(rep.exit_rates[pattern.exit_idx])]
-    if pattern.pi_free:
-        parts.append(np.log(rep.pi[pattern.pi_idx]))
+def _pack(model, layout) -> np.ndarray:
+    return np.concatenate([_pack_rep(model.rep, layout), _clock_or_coefficients(model)])
+
+
+def _unpack(vec: np.ndarray, model, layout):
+    rep, rest = _unpack_rep(vec, layout)
     if isinstance(model, PIModel):
-        parts.append(model.beta)
-        if model.gamma is not None:
-            parts.append(model.gamma)
-    else:
-        parts.append(np.log(list(model.transform.params.values())))
-    return np.concatenate(parts)
-
-
-def _unpack(vec: np.ndarray, model, pattern: _Pattern):
-    p = pattern.p
-    n_off = len(pattern.off_idx[0])
-    n_exit = pattern.exit_idx.size
-    pos = 0
-    t = np.zeros((p, p))
-    if n_off:
-        t[pattern.off_idx] = np.exp(vec[pos:pos + n_off])
-    pos += n_off
-    exits = np.zeros(p)
-    exits[pattern.exit_idx] = np.exp(vec[pos:pos + n_exit])
-    pos += n_exit
-    np.fill_diagonal(t, -(t.sum(axis=1) + exits))
-    if pattern.pi_free:
-        logw = vec[pos:pos + pattern.pi_idx.size]
-        w = np.exp(logw - logw.max())
-        pi = np.zeros(p)
-        pi[pattern.pi_idx] = w / w.sum()
-        pos += pattern.pi_idx.size
-    else:
-        pi = np.asarray(model.rep.pi)
-    rep = PHRepresentation(pi, t)
-    if isinstance(model, PIModel):
-        beta = vec[pos:pos + model.beta.size]
-        pos += model.beta.size
-        gamma = None
-        if model.gamma is not None:
-            gamma = vec[pos:pos + model.gamma.size]
-        return PIModel(rep, model.family, beta, gamma, model.link,
-                       model.standardization)
-    return IPHModel(rep, make_transform(pattern.family,
-                                        *np.exp(vec[pos:pos + pattern.n_extra])))
+        gamma_len = 0 if model.gamma is None else model.gamma.size
+        return PIModel(rep, model.family, *_unpack_coefficients(rest, model.d, gamma_len),
+                       model.link, model.standardization)
+    return IPHModel(rep, make_transform(model.transform.family, *np.exp(rest)))
 
 
 def _normalize_curves(model, curves):
@@ -595,8 +529,8 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
     if config.restarts < 0:
         raise InvalidInputError("restarts must not be negative")
     pairs = _normalize_curves(init, curves)
-    pattern = _build_pattern(init)
-    x0 = _pack(init, pattern)
+    layout = _pattern(init)
+    x0 = _pack(init, layout)
 
     evals = [0]
     trace = []
@@ -614,7 +548,7 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
 
     # baseline through the pack/unpack round trip so the returned model's
     # loss is exactly the reported best, never an ulp above it
-    best = {"f": loss_of(_unpack(x0, init, pattern)), "x": x0}
+    best = {"f": loss_of(_unpack(x0, init, layout)), "x": x0}
     trace.append(best["f"])
     if not np.isfinite(best["f"]):
         raise InvalidInputError("starting model has non-finite loss")
@@ -622,8 +556,8 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
     def objective(vec):
         evals[0] += 1
         try:
-            f = loss_of(_unpack(vec, init, pattern))
-        except (InvalidInputError, OverflowError):
+            f = loss_of(_unpack(vec, init, layout))
+        except (InvalidInputError, OverflowError, ScoreOverflowError):
             return np.inf
         if f < best["f"]:
             best["f"] = f
@@ -639,7 +573,7 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
         if previous - best["f"] <= NM_FATOL * max(1.0, abs(previous)):
             break
 
-    fitted = _unpack(best["x"], init, pattern)
+    fitted = _unpack(best["x"], init, layout)
     return DirectFitResult(fitted, best["f"], np.asarray(trace), evals[0])
 
 
@@ -651,9 +585,7 @@ def free_parameter_count(model) -> int:
     and any regression coefficients.  Matches what direct fitting moves and
     what information criteria should charge for.
     """
-    pat = _build_pattern(model)
-    return (len(pat.off_idx[0]) + pat.exit_idx.size
-            + (pat.pi_idx.size - 1 if pat.pi_free else 0) + pat.n_extra)
+    return _pattern(model).count() + _clock_or_coefficients(model).size
 
 
 def select_order(losses, orders=None, threshold: float = 1e-3) -> int:
@@ -672,8 +604,8 @@ def select_order(losses, orders=None, threshold: float = 1e-3) -> int:
     if orders.size != losses.size:
         raise InvalidInputError("orders and losses lengths disagree")
     for i in range(1, losses.size):
-        improvement = (losses[i - 1] - losses[i]) / abs(losses[i - 1])
-        if improvement < threshold:
+        previous = losses[i - 1]
+        if previous == 0 or (previous - losses[i]) / abs(previous) < threshold:
             return int(orders[i - 1])
     return int(orders[-1])
 

@@ -408,8 +408,8 @@ class PIFitResult:
 
     @property
     def n_parameters(self) -> int:
-        gamma_len = 0 if self.model.gamma is None else self.model.gamma.size
-        return n_free_parameters(self.structure) + self.model.d + gamma_len
+        return (n_free_parameters(self.structure)
+                + _pack(self.model.beta, self.model.gamma).size)
 
 
 def _standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -218,6 +218,24 @@ def scipy_nelder_mead(objective, simplex, max_evals):
     return res.final_simplex
 
 
+def init_structure_by_draws(spec, rng=None):
+    """``em.init_structure`` as one uniform draw per superdiagonal rate and a
+    boolean off-diagonal mask (reference route): the off-diagonal rates, then
+    the exit rates, then a flat Dirichlet start when the start is free."""
+    rng = np.random.default_rng(rng)
+    p = spec.p
+    t = np.zeros((p, p))
+    if spec.ordered:
+        for k in range(p - 1):
+            t[k, k + 1] = rng.uniform()
+    else:
+        t[~np.eye(p, dtype=bool)] = rng.uniform(size=p * (p - 1))
+    exit_rates = rng.uniform(size=p)
+    np.fill_diagonal(t, -(t.sum(axis=1) + exit_rates))
+    pi = rng.dirichlet(np.ones(p)) if spec.free_start else np.eye(p)[0]
+    return PHRepresentation(pi, t)
+
+
 def random_sub_intensity(rng, p, kind="general"):
     """Random valid sub-intensity with the requested zero pattern."""
     t = np.zeros((p, p))

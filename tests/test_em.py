@@ -30,10 +30,12 @@ from matlife.exceptions import (
     InvalidInputError,
 )
 from matlife.linalg import PRODUCTS_COND_LIMIT, mexp
+from matlife.mortality import free_parameter_count
 from matlife.phasetype import IPHModel, PHRepresentation
 
 from helpers import (
     aggregate_by_unique,
+    init_structure_by_draws,
     mc_conditional_stats,
     mp_e_step,
     random_representation,
@@ -571,6 +573,22 @@ class TestInit:
         assert n_free_parameters(StructureSpec("coxian", 3)) == 5
         assert n_free_parameters(StructureSpec("generalized_coxian", 3)) == 7
         assert n_free_parameters(StructureSpec("coxian", 1)) == 1
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("kind", StructureSpec.KINDS)
+    def test_bitwise_equal_to_the_draw_by_draw_start(self, kind, p):
+        spec = StructureSpec(kind, p)
+        for seed in range(10):
+            got, want = init_structure(spec, seed), init_structure_by_draws(spec, seed)
+            assert got.pi.tobytes() == want.pi.tobytes()
+            assert got.T.tobytes() == want.T.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", StructureSpec.KINDS)
+    def test_fitted_count_equals_structure_count(self, kind, p):
+        spec = StructureSpec(kind, p)
+        model = IPHModel(init_structure(spec, rng=np.random.default_rng(p)))
+        assert free_parameter_count(model) == n_free_parameters(spec)
 
 
 class TestFit:

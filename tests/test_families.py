@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from matlife.cli import build_parser
+from matlife.em import StructureSpec, _pattern as _build_pattern
 from matlife.exceptions import InvalidInputError
 from matlife.inhomogeneity import FAMILIES, make_transform
 from matlife.io import load_model, save_model
-from matlife.mortality import _build_pattern, _pack, _unpack, free_parameter_count
+from matlife.mortality import _pack, _unpack, free_parameter_count
 from matlife.phasetype import IPHModel, PHRepresentation
 from matlife.regression import PIModel
 
@@ -68,3 +69,10 @@ def test_every_layer_reads_the_family_table(tmp_path, family):
         else:
             with pytest.raises(InvalidInputError):
                 PIModel(REP, family, [0.1], gamma)
+
+
+def test_cli_reads_the_structure_kinds():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    for command in ("fit-ph", "fit-pi", "fit-mortality"):
+        action = next(a for a in subparsers[command]._actions if a.dest == "structure")
+        assert tuple(action.choices) == StructureSpec.KINDS

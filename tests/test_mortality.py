@@ -3,14 +3,14 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from matlife import mortality
-from matlife.em import StructureSpec
+from matlife.em import StructureSpec, _pattern
 from matlife.exceptions import DomainError, InvalidInputError, TableParseError
-from matlife.inhomogeneity import ScaledTransform, make_transform
+from matlife.inhomogeneity import FAMILIES, ScaledTransform, make_transform
 from matlife.mortality import (
     SIMPLEX_STEP,
     DirectFitConfig,
@@ -588,6 +588,17 @@ class TestDirectFit:
         assert np.all(np.diff(res.loss_trace) <= 0)
         assert res.loss <= res.loss_trace[0]
 
+    def test_overflowing_iterate_scores_inf(self):
+        # the first simplex vertex puts the score at 0.1 * 8000, past the link
+        ages = np.arange(30, 90)
+        curve = MortalityCurve(ages, np.log(5e-4) + 0.09 * (ages - 30))
+        start = PIModel(PHRepresentation([1.0], [[-2.0]]), "gompertz", beta=[0.0],
+                        gamma=[np.log(6.0)])
+        res = direct_fit(start, [([8000.0], curve), ([0.0], curve)],
+                         DirectFitConfig(300, 0))
+        assert np.isfinite(res.loss)
+        assert res.loss <= res.loss_trace[0]
+
     def test_sparsity_pattern_is_frozen(self):
         start = two_state_gompertz()
         ages = np.arange(0, 101, 5)
@@ -849,6 +860,56 @@ class TestDirectFitParity:
         assert _fit_bits(got) == _fit_bits(want)
 
 
+@st.composite
+def fittable_models(draw):
+    """A lifetime or regression model of order 1 to 4 with some rates and
+    start weights zero, any clock family, and for regression models 0 to 2
+    covariates with no, an intercept-only or a full ``gamma``."""
+    p = draw(st.integers(1, 4), label="p")
+    value = st.floats(0.05, 20.0)
+    t = np.array([[draw(value) if i != j and draw(st.booleans()) else 0.0
+                   for j in range(p)] for i in range(p)])
+    exits = np.array([draw(value) if draw(st.booleans()) else 0.0 for _ in range(p)])
+    np.fill_diagonal(t, -(t.sum(axis=1) + exits))
+    weights = np.array([draw(value) if draw(st.booleans()) else 0.0 for _ in range(p)])
+    weights[draw(st.integers(0, p - 1))] = draw(value)
+    # absorption reachable from every state, by more than rounding
+    assume(np.linalg.eigvals(t).real.max() < -1e-6)
+    rep = PHRepresentation(weights / weights.sum(), t)
+    family = draw(st.sampled_from(list(FAMILIES)), label="family")
+    shaped = FAMILIES[family].param_name is not None
+    if not draw(st.booleans(), label="regression"):
+        return IPHModel(rep, make_transform(family, draw(value) if shaped else None))
+    d = draw(st.integers(0, 2), label="d")
+    coef = st.floats(-2.0, 2.0)
+    beta = [draw(coef) for _ in range(d)]
+    gamma = ([draw(coef) for _ in range(draw(st.sampled_from([1, 1 + d])))]
+             if shaped else None)
+    return PIModel(rep, family, beta, gamma)
+
+
+@given(model=fittable_models())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_direct_fit_coordinates_round_trip(model):
+    layout = _pattern(model)
+    back = mortality._unpack(mortality._pack(model, layout), model, layout)
+    assert type(back) is type(model)
+    for got, want in ((back.rep.pi, model.rep.pi), (back.rep.T, model.rep.T)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    if isinstance(model, PIModel):
+        assert back.family == model.family
+        assert np.array_equal(back.beta, model.beta)
+        assert (back.gamma is None) == (model.gamma is None)
+        if model.gamma is not None:
+            assert np.array_equal(back.gamma, model.gamma)
+    else:
+        assert back.transform.family == model.transform.family
+        assert back.transform.params.keys() == model.transform.params.keys()
+        np.testing.assert_allclose(list(back.transform.params.values()),
+                                   list(model.transform.params.values()),
+                                   rtol=1e-13, atol=0)
+
+
 class TestSelectOrder:
     def test_stops_at_small_relative_improvement(self):
         assert select_order([10.0, 5.0, 4.999, 1.0]) == 2
@@ -865,6 +926,10 @@ class TestSelectOrder:
 
     def test_worsening_stops_immediately(self):
         assert select_order([5.0, 6.0, 1.0]) == 1
+
+    def test_step_from_zero_loss_is_no_improvement(self):
+        assert select_order([1.0, 0.0, 0.0]) == 2
+        assert select_order([0.0, 0.0, 0.0]) == 1
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
