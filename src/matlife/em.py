@@ -16,11 +16,11 @@ sum of each divided difference is ``(se_i - se_j) / (lambda_i -
 lambda_j)``; only the entries where that difference cancels are summed row
 by row with ``expm1`` (:func:`_eigen_sums`).  ``z`` and the row weights are
 real, so the terms of the second member of a complex-conjugate eigenvalue
-pair are the conjugates of the first member's, and only the terms that
-involve a pair run in complex arithmetic; a real spectrum runs in real
-arithmetic throughout.  Otherwise (near-defective ``T``, such as a Coxian
-chain with nearly equal rates) each distinct ``z`` costs one Van Loan
-block exponential.
+pair are the conjugates of the first member's; only :mod:`~matlife.phasetype`
+knows the pairs, and folds them in and out (``_folded_exp``, ``_unfolded``).
+A real spectrum runs in real arithmetic throughout.  Otherwise
+(near-defective ``T``, such as a Coxian chain with nearly equal rates)
+each distinct ``z`` costs one Van Loan block exponential.
 
 The denominators of the E-step are the likelihood factors of its
 representation, so the E-step also yields that representation's
@@ -43,7 +43,8 @@ from .exceptions import (
     InvalidInputError,
 )
 from .linalg import expm_and_conv
-from .phasetype import PHRepresentation, Spectrum, _censored_loglik, _folded_exp
+from .phasetype import (PHRepresentation, Spectrum, _censored_loglik, _folded_exp,
+                        _unfolded)
 
 __all__ = [
     "SurvObservation",
@@ -464,19 +465,20 @@ def _eigen_sums(spectrum: Spectrum, z: np.ndarray, w: np.ndarray,
 
     One :func:`~matlife.phasetype._folded_exp` pass gives ``exp(z lam)``
     for every row.  A product over each group's rows gives ``se``, the
-    magnitude sums ``sum |scale exp(z lam)|`` (``se`` itself for a real
-    eigenvalue) and the diagonal sums ``sum scale z exp(z lam)``.  Every
-    other entry is ``(se_i - se_j) / (lam_i - lam_j)`` (the entry of a pair
-    with its partner is ``Im(se_i) / Im(lam_i)``), since the sums are
-    linear.  Where that difference cancels, by :data:`_CANCEL_FACTOR`
-    against the magnitude sums, the entry is summed row by row as
+    magnitude sums ``sum |scale exp(z lam)|`` (``se`` itself on a real
+    spectrum) and the diagonal sums ``sum scale z exp(z lam)``, spread over
+    every eigenvalue by :func:`~matlife.phasetype._unfolded`.  Every other
+    entry is ``(se_i - se_j) / (lam_i - lam_j)``, since the sums are linear,
+    and ``Im(se_i) / Im(lam_i)`` for two conjugate eigenvalues, exact
+    however close they are.  Where that difference cancels, by
+    :data:`_CANCEL_FACTOR` against the magnitude sums, the entry is summed
+    row by row from the unfolded ``exp`` columns as
     ``exp(hi z) expm1((lo - hi) z) / (lo - hi)`` with ``hi`` the eigenvalue
     of larger real part, so no factor overflows and near-equal eigenvalues
     lose no digits; ``by_row`` marks those entries.  Exactly equal
     eigenvalues take the diagonal sum.
     """
-    lam, real, pairs = spectrum.eigvals, spectrum.real, spectrum.pairs
-    r = spectrum.start
+    lam, r = spectrum.eigvals, spectrum.start
     er, ec, factors = _folded_exp(spectrum, z, *(r * g.c for g in groups))
     denom = np.maximum(factors[0] if len(groups) == 1 else
                        np.concatenate([f[g.rows] for f, g in zip(factors, groups)]),
@@ -484,16 +486,14 @@ def _eigen_sums(spectrum: Spectrum, z: np.ndarray, w: np.ndarray,
     n_observed = groups[0].rows.stop if groups[0].observed else 0
     _check_denominators(denom, z, np.arange(z.size) < n_observed, sample)
     scale = w / denom
-    weights = [(scale[g.rows], scale[g.rows] * z[g.rows], g.rows) for g in groups]
-    se = [s @ er[rows] for s, _, rows in weights]
-    diag = [sz @ er[rows] for _, sz, rows in weights]
-    if pairs.size:
-        mag = _unfold(spectrum, se, [s @ np.abs(ec[rows]) for s, _, rows in weights]).real
-        se = _unfold(spectrum, se, [s @ ec[rows] for s, _, rows in weights])
-        diag = _unfold(spectrum, diag, [sz @ ec[rows] for _, sz, rows in weights])
-    else:
-        se = mag = np.array(se)
-        diag = np.array(diag)
+
+    # each group's sums of weight * columns over its rows (None for no columns)
+    sums = lambda weight, columns: (None if columns is None else
+                                    np.array([weight[g.rows] @ columns[g.rows] for g in groups]))
+    se_real, sz = sums(scale, er), scale * z
+    se = _unfolded(spectrum, se_real, sums(scale, ec))
+    diag = _unfolded(spectrum, sums(sz, er), sums(sz, ec))
+    mag = se if ec is None else _unfolded(spectrum, se_real, sums(scale, np.abs(ec))).real
 
     gap = np.subtract.outer(lam, lam)
     differ = gap != 0
@@ -501,61 +501,26 @@ def _eigen_sums(spectrum: Spectrum, z: np.ndarray, w: np.ndarray,
     # entries of equal eigenvalues keep the diagonal sum they start from
     dd = np.divide(diff, gap, where=differ,
                    out=np.repeat(diag[:, :, None], lam.size, axis=2))
+    if np.iscomplexobj(lam):
+        # two conjugate eigenvalues: Im/Im is exact however close, never by row
+        conj = differ & (lam[:, None] == lam.conj())
+        dd[:, conj] = diff[:, conj].imag / gap[conj].imag
+        differ &= ~conj
     by_row = differ & (np.abs(diff) * _CANCEL_FACTOR
                        < mag[:, :, None] + mag[:, None, :]).any(axis=0)
-    if pairs.size:
-        dd[:, pairs, pairs + 1] = dd[:, pairs + 1, pairs] = (se[:, pairs].imag
-                                                             / lam[pairs].imag)
-        by_row[pairs, pairs + 1] = by_row[pairs + 1, pairs] = False
     if by_row.any():
-        _sum_by_row(dd, by_row, spectrum, er, ec, scale, [g.rows for g in groups], z)
+        columns, roots = _unfolded(spectrum, er, ec), lam.tolist()
+        rows, cols = np.nonzero(np.triu(by_row))
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            hi, lo = (i, j) if roots[i].real > roots[j].real else (j, i)
+            step, col = roots[lo] - roots[hi], columns[:, hi]
+            if roots[i].imag == roots[j].imag == 0:     # two real eigenvalues
+                step, col = step.real, col.real
+            weighted = scale * col
+            growth = np.expm1(z * step)
+            dd[:, i, j] = dd[:, j, i] = np.array([weighted[g.rows] @ growth[g.rows]
+                                                  for g in groups]) / step
     return _EigenSums(denom, se, dd, by_row)
-
-
-def _unfold(spectrum: Spectrum, on_real: list[np.ndarray],
-            on_pairs: list[np.ndarray]) -> np.ndarray:
-    """Per-group sums over the real eigenvalues and over the first member of
-    each conjugate pair, as one ``(G, p)`` array in the order of the
-    eigenvalues, the second members taking the conjugates."""
-    real, pairs = spectrum.real, spectrum.pairs
-    out = np.empty((len(on_real), spectrum.eigvals.size), dtype=complex)
-    out[:, real] = on_real
-    out[:, pairs] = on_pairs
-    out[:, pairs + 1] = np.conj(on_pairs)
-    return out
-
-
-def _sum_by_row(dd: np.ndarray, by_row: np.ndarray, spectrum: Spectrum,
-                er: np.ndarray, ec: np.ndarray | None, scale: np.ndarray,
-                groups: list[slice], z: np.ndarray) -> None:
-    """Fill the entries ``by_row`` of ``dd`` by the per-row ``expm1`` dot of
-    :func:`_eigen_sums`, over the rows of each group.  The entry with the
-    members of each conjugate pair swapped is the conjugate, so each such
-    couple is summed once, from the ``exp`` columns of
-    :func:`~matlife.phasetype._folded_exp`."""
-    lam, real, pairs = spectrum.eigvals, spectrum.real, spectrum.pairs
-    roots = [x.real if x.imag == 0 else x for x in lam.tolist()]
-    column = dict(zip(real.tolist(), er.T))
-    swap = list(range(lam.size))
-    for n, k in enumerate(pairs.tolist()):
-        column[k] = ec[:, n]
-        swap[k], swap[k + 1] = k + 1, k
-    done = set()
-    rows, cols = np.nonzero(by_row)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i > j or (i, j) in done:
-            continue
-        si, sj = swap[i], swap[j]
-        hi, lo = (i, j) if roots[i].real > roots[j].real else (j, i)
-        if hi not in column:        # a second member: sum the swapped entry
-            i, j, si, sj, hi, lo = si, sj, i, j, swap[hi], swap[lo]
-        step = roots[lo] - roots[hi]
-        weighted = scale * column[hi]
-        growth = np.expm1(z * step)
-        val = np.array([weighted[g] @ growth[g] for g in groups]) / step
-        dd[:, i, j] = dd[:, j, i] = val
-        dd[:, si, sj] = dd[:, sj, si] = val.conj()
-        done.update({(min(i, j), max(i, j)), (min(si, sj), max(si, sj))})
 
 
 def m_step(stats: SufficientStats, total_weight: float, spec: StructureSpec,
@@ -573,18 +538,15 @@ def m_step(stats: SufficientStats, total_weight: float, spec: StructureSpec,
         pi = np.zeros(p)
         pi[0] = 1.0
 
-    t = np.zeros((p, p))
     dead = stats.v <= DEAD_STATE_TOL * max(1.0, total_weight)
-    for k in range(p):
-        if dead[k]:
-            if previous is None:
-                raise DeadStateError(k)
-            t[k] = previous.T[k]
-            continue
-        rates = stats.njump[k] / stats.v[k]
-        exit_rate = stats.nabs[k] / stats.v[k]
-        t[k] = rates
-        t[k, k] = -(rates.sum() - rates[k] + exit_rate)
+    live = ~dead
+    t = np.divide(stats.njump, stats.v[:, None], out=np.zeros((p, p)), where=live[:, None])
+    exit_rates = np.divide(stats.nabs, stats.v, out=np.zeros(p), where=live)
+    np.fill_diagonal(t, -(t.sum(axis=1) - t.diagonal() + exit_rates))
+    if dead.any():
+        if previous is None:
+            raise DeadStateError(int(np.argmax(dead)))
+        t[dead] = previous.T[dead]
     return PHRepresentation(pi, t)
 
 

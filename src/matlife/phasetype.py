@@ -44,7 +44,8 @@ def validate_sub_intensity(t: np.ndarray) -> np.ndarray:
 
     Requirements: square, nonempty and finite, strictly negative diagonal,
     nonnegative off-diagonal entries, row sums at most zero, and absorption
-    reachable from every state (all eigenvalues in the open left half-plane).
+    reachable from every state: through positive rates to a state with a
+    negative row sum, and with all eigenvalues in the open left half-plane.
     Negative dust below 1e-12 (relative) on the off-diagonal is zeroed rather
     than rejected.
     The eigenvalues come from one ``np.linalg.eig`` (see :func:`_decomposed`),
@@ -72,10 +73,19 @@ def _decomposed(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t[off] = np.maximum(rates, 0.0)
     if (t.diagonal() >= 0).any():
         raise InvalidInputError("diagonal entries must be strictly negative")
-    if (t.sum(axis=1) > _DUST * scale).any():
+    row_sums = t.sum(axis=1)
+    if (row_sums > _DUST * scale).any():
         raise InvalidInputError("row sums must not exceed zero")
+    # a state absorbs if it exits or a positive rate leads to one that does;
+    # a closed class never does, whatever rounding does to its eigenvalues
+    absorbs = row_sums < 0
+    while not (reachable := all(absorbs.tolist())):
+        grown = absorbs | (t[:, absorbs] > 0).any(axis=1)
+        if np.array_equal(grown, absorbs):
+            break
+        absorbs = grown
     eigvals, eigvecs = np.linalg.eig(t)
-    if eigvals.real.max() >= 0:
+    if not reachable or eigvals.real.max() >= 0:
         raise InvalidInputError("absorption must be reachable from every state")
     return t, eigvals, eigvecs
 
@@ -109,8 +119,8 @@ class Spectrum(NamedTuple):
     with the conjugate eigenvalue and eigenvector (see
     :func:`_conjugate_pairs`).  For real ``z`` the terms of a pair are
     conjugate, so every kernel takes ``exp`` of one member only and folds
-    the other in as a conjugate; with no pair (``eigvals`` real) the results
-    are real arrays."""
+    the other in as a conjugate (:func:`_folded_exp`, :func:`_unfolded`);
+    with no pair (``eigvals`` real) the results are real arrays."""
 
     eigvals: np.ndarray
     vecs: np.ndarray
@@ -270,6 +280,25 @@ def _folded_exp(spectrum: Spectrum, z: np.ndarray, *coefs: np.ndarray
         sums = [s + (ec @ (coef[pairs] + coef[pairs + 1].conj())).real
                 for s, coef in zip(sums, coefs)]
     return er, ec, sums
+
+
+def _unfolded(spectrum: Spectrum, on_real: np.ndarray, on_pairs: np.ndarray | None
+              ) -> np.ndarray:
+    """Values over every eigenvalue, in the order of ``eigvals`` along the
+    last axis (of one or two), from values over the real eigenvalues and
+    over the first member of each conjugate pair (``None`` without pairs),
+    such as the columns of :func:`_folded_exp` or real-weighted sums of
+    them: the second members take the conjugates.  A real spectrum gives
+    ``on_real`` itself."""
+    if on_pairs is None:
+        return on_real
+    real, pairs = spectrum.real, spectrum.pairs
+    # eigenvalue axis first: rows copy about 3x faster than strided columns
+    out = np.empty(spectrum.eigvals.shape + on_real.shape[:-1], dtype=complex)
+    out[real] = on_real.T
+    out[pairs] = on_pairs.T
+    out[pairs + 1] = on_pairs.T.conj()
+    return out.T
 
 
 def _censored_loglik(rep: PHRepresentation, z, observed, weight,

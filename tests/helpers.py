@@ -433,6 +433,22 @@ def mc_conditional_stats(rep, z, observed, n_paths, rng, kernel=0.005):
     return means, ses, m
 
 
+def mp_products(pi, t, z, dps=50):
+    """``(pi expm(Tz) t, pi expm(Tz) 1)`` at each ``z`` to ``dps`` digits by
+    ``mpmath.expm`` on the exact binary values of ``pi`` and ``T``, with
+    ``t = -T 1`` (reference for :func:`~matlife.phasetype.ph_products`)."""
+    import mpmath  # loaded on call: the benchmark loads this module in set-up
+
+    with mpmath.workdps(dps):
+        t = mpmath.matrix(np.asarray(t, dtype=float).tolist())
+        row = mpmath.matrix([np.asarray(pi, dtype=float).tolist()])
+        ones = mpmath.ones(t.rows, 1)
+        exit_rates = -(t * ones)
+        fronts = [row * mpmath.expm(t * zk) for zk in np.atleast_1d(z).tolist()]
+        return (np.array([float((f * exit_rates)[0]) for f in fronts]),
+                np.array([float((f * ones)[0]) for f in fronts]))
+
+
 def mp_e_step(rep, data, dps=50):
     """The E-step statistics of ``rep`` on ``data`` to ``dps`` digits: each
     row's ``expm(Tz)`` and convolution come from one Van Loan block

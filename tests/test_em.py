@@ -368,6 +368,46 @@ class TestSpectralEStep:
         assert sums.by_row[first, second] and sums.by_row[first + 1, second + 1]
         assert_routes_agree(rep, ROUTE_SAMPLE)
 
+    def test_near_repeated_pairs_sum_conjugate_couples(self):
+        # the two rotations of the test above: each entry summed row by row
+        # between members of the two pairs has its conjugate at the entry of
+        # the other members, bit for bit
+        cycle = np.roll(np.eye(3), 1, axis=1)
+        t = np.zeros((6, 6))
+        t[:3, :3], t[3:, 3:] = 0.8 * cycle, (0.8 + 1e-4) * cycle
+        np.fill_diagonal(t, -(t.sum(axis=1) + np.repeat([0.3, 0.3 + 1e-4], 3)))
+        rep = PHRepresentation(np.full(6, 1 / 6), t)
+        first, second = rep._spectrum.pairs
+        partner = {first: first + 1, first + 1: first,
+                   second: second + 1, second + 1: second}
+        sums = assert_eigen_sums_match_unfolded(rep, ROUTE_SAMPLE)[0]
+        couples = [(i, j) for i, j in zip(*np.nonzero(sums.by_row))
+                   if i in partner and j in partner]
+        assert couples
+        for i, j in couples:
+            assert sums.by_row[partner[i], partner[j]]
+            assert np.array_equal(sums.dd[:, partner[i], partner[j]],
+                                  sums.dd[:, i, j].conj())
+
+    def test_nearly_real_pair_keeps_its_quotient(self):
+        # a 3-state cycle of rate 2e-9/sqrt(3) has a pair 1e-9 off the real
+        # axis: the difference of the pair's sums is tiny against their size,
+        # yet its quotient Im(se) / Im(lam) is exact, so it is not summed by row
+        b = 2e-9 / np.sqrt(3)
+        t = b * np.roll(np.eye(3), 1, axis=1) - (b + 0.7) * np.eye(3)
+        rep = PHRepresentation([0.5, 0.3, 0.2], t)
+        (k,) = rep._spectrum.pairs
+        lam = rep._spectrum.eigvals
+        assert 0.99e-9 < lam[k].imag < 1.01e-9
+        sums, z, e, groups = assert_eigen_sums_match_unfolded(rep, ROUTE_SAMPLE)
+        assert not sums.by_row[k, k + 1] and not sums.by_row[k + 1, k]
+        w = em._by_group(rep._spectrum, ROUTE_SAMPLE.aggregate(), rep.exit_rates)[1]
+        for group, dd in zip(groups, sums.dd):
+            rows = group.rows
+            want = unfolded_divided_differences(lam, z[rows], w[rows] / sums.denom[rows])
+            assert_allclose(dd[k, k + 1], want[k, k + 1], rtol=1e-13, atol=0)
+            assert_allclose(dd[k + 1, k], want[k + 1, k], rtol=1e-13, atol=0)
+
     def test_exactly_repeated_rates(self):
         rep = PHRepresentation([0.3, 0.3, 0.4], np.diag([-1.0, -1.0, -2.0]))
         assert np.linalg.cond(rep._spectrum.vecs) == 1.0
@@ -518,6 +558,43 @@ class TestMStep:
         rep = m_step(stats, 4.0, StructureSpec("general", 2), previous=prev)
         assert_allclose(rep.T[1], prev.T[1])
         assert_allclose(rep.T[0], [-2.0, 0.0])
+
+
+    def test_dead_middle_state(self):
+        stats = SufficientStats(
+            b=np.array([2.0, 0.0, 2.0]),
+            v=np.array([2.0, 0.0, 1.0]),
+            njump=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]),
+            nabs=np.array([1.0, 0.0, 3.0]),
+        )
+        spec = StructureSpec("general", 3)
+        with pytest.raises(DeadStateError) as info:
+            m_step(stats, 4.0, spec)
+        assert info.value.state == 1
+        prev = PHRepresentation([0.2, 0.3, 0.5], [[-2.0, 1.0, 0.5], [0.4, -1.0, 0.1],
+                                                  [0.0, 0.3, -0.9]])
+        rep = m_step(stats, 4.0, spec, previous=prev)
+        assert np.array_equal(rep.T[1], prev.T[1])
+        assert_allclose(rep.T[[0, 2]], [[-1.0, 0.0, 0.5], [0.5, 0.0, -3.5]])
+        with pytest.raises(DeadStateError) as info:
+            m_step(stats._replace(v=np.array([2.0, 0.0, 0.0])), 4.0, spec)
+        assert info.value.state == 1
+
+    def test_rows_are_the_per_state_formula(self):
+        # bit for bit: rates njump[k] / v[k], the diagonal from their sum
+        # without the own entry plus the exit rate nabs[k] / v[k]
+        rng = np.random.default_rng(5)
+        p = 6
+        njump = rng.uniform(0.0, 3.0, (p, p))
+        np.fill_diagonal(njump, 0.0)
+        stats = SufficientStats(rng.uniform(0.1, 1.0, p), rng.uniform(0.5, 4.0, p),
+                                njump, rng.uniform(0.1, 2.0, p))
+        rep = m_step(stats, 3.0, StructureSpec("general", p))
+        for k in range(p):
+            rates = stats.njump[k] / stats.v[k]
+            want = rates.copy()
+            want[k] = -(rates.sum() - rates[k] + stats.nabs[k] / stats.v[k])
+            assert np.array_equal(rep.T[k], want)
 
 
 class TestLoglik:

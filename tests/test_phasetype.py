@@ -26,7 +26,9 @@ from matlife.phasetype import (
     IPHModel,
     PHRepresentation,
     _conjugate_pairs,
+    _folded_exp,
     _products,
+    _unfolded,
     coxian_density,
     ph_products,
     tail_hazard_constant,
@@ -36,6 +38,7 @@ from matlife.phasetype import (
 
 from helpers import (
     evaluate_by_fresh_eig,
+    mp_products,
     random_representation,
     random_sub_intensity,
     rotating_representation,
@@ -184,6 +187,30 @@ class TestValidation:
     def test_empty_sub_intensity_rejected(self):
         with pytest.raises(InvalidInputError, match="at least one state"):
             PHRepresentation(np.zeros(0), np.zeros((0, 0)))
+
+    @given(rates=st.tuples(*[st.floats(0.05, 20.0)] * 3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_closed_class_is_refused(self, rates):
+        # state 0 exits; states 1 and 2 swap and never exit, which rounding
+        # can hide from the eigenvalues (their zero eigenvalue came out as
+        # -8.9e-16 for some such rates)
+        a, b, c = rates
+        t = [[-c, 0.0, 0.0], [0.0, -a, a], [0.0, b, -b]]
+        message = "absorption must be reachable from every state"
+        with pytest.raises(InvalidInputError, match=message):
+            validate_sub_intensity(t)
+        with pytest.raises(InvalidInputError, match=message):
+            PHRepresentation([1.0, 0.0, 0.0], t)
+
+    def test_absorption_through_a_chain_of_rates(self):
+        # only the last state exits; every other one reaches it through
+        # positive rates, and the order of the rows does not matter
+        t = np.array([[-1.0, 0.0, 1.0, 0.0], [0.5, -0.5, 0.0, 0.0],
+                      [0.0, 0.0, -2.0, 2.0], [0.0, 0.0, 0.0, -3.0]])
+        assert np.array_equal(validate_sub_intensity(t), t)
+        t[3, 3], t[3, 1] = -1.0, 1.0        # 1 -> 0 -> 2 -> 3 -> 1, no exit
+        with pytest.raises(InvalidInputError, match="reachable"):
+            validate_sub_intensity(t)
 
 
 class TestEvaluate:
@@ -605,6 +632,22 @@ class TestProducts:
         assert (rep._spectrum is not None) == spectral
         self.assert_matches_taylor(rep, np.linspace(0.0, 200.0, 41))
 
+    #: largest relative error of either product against the 50-digit
+    #: reference over the sweep below, rounded up: 8.96e-12 on the spectral
+    #: route (order 2, gap 1e-5) and 7.51e-8 on the stacked one (order 2,
+    #: gap 1e-10)
+    MP_BOUND = {True: 9.0e-12, False: 7.6e-8}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_near_equal_coxian_rates_against_mpmath(self, p):
+        z = np.array([0.5, 5.0, 30.0])
+        for gap in np.logspace(-2, -10, 9):
+            rep = CoxianSpec(1.0 + gap * np.arange(p), np.full(p - 1, 0.7)
+                             ).to_representation()
+            bound = self.MP_BOUND[rep._spectrum is not None]
+            for got, want in zip(ph_products(rep, z), mp_products(rep.pi, rep.T, z)):
+                assert np.all(np.abs(got - want) <= bound * want)
+
     def test_limit_is_crossed_by_the_sweep(self):
         stacked = {self.near_equal_coxian(gap)._spectrum is None
                    for gap in NEAR_EQUAL_GAPS}
@@ -699,6 +742,27 @@ class TestFoldedProducts:
             assert g[1] == 0.0
             assert np.array_equal(g[[0, 2]], f)
         assert ph_products(rep, [np.inf]) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("rep", [
+        *(rotating_representation(p, pairs, seed) for p, pairs in ROTATING
+          for seed in (0, 1)),
+        *(random_representation(np.random.default_rng(400 + seed), 6)
+          for seed in range(12)),
+        CoxianSpec([1.0, 2.0, 3.0], [0.5, 0.5]).to_representation(),
+    ])
+    def test_unfolded_columns_are_the_exponentials(self, rep):
+        # both members of a pair take the bits of the complex exp; a real
+        # column is real exp, which differs from complex exp by up to 1 ulp
+        spectrum = rep._spectrum
+        z = self.grid(rep)
+        er, ec = _folded_exp(spectrum, z)[:2]
+        got = _unfolded(spectrum, er, ec)
+        want = np.exp(np.multiply.outer(z, spectrum.eigvals))
+        assert got.dtype == want.dtype
+        real = spectrum.eigvals.imag == 0
+        assert np.array_equal(got[:, ~real], want[:, ~real])
+        np.testing.assert_array_max_ulp(got[:, real].real, want[:, real].real, maxulp=1)
+        assert not got[:, real].imag.any()
 
     def test_real_spectrum_has_no_pairs(self):
         spectrum = CoxianSpec([1.0, 2.0, 3.0], [0.5, 0.5]).to_representation()._spectrum
