@@ -20,7 +20,12 @@ pair are the conjugates of the first member's; only :mod:`~matlife.phasetype`
 knows the pairs, and folds them in and out (``_folded_exp``, ``_unfolded``).
 A real spectrum runs in real arithmetic throughout.  Otherwise
 (near-defective ``T``, such as a Coxian chain with nearly equal rates)
-each distinct ``z`` costs one Van Loan block exponential.
+each distinct ``z`` costs one Van Loan block exponential.  One driver,
+:func:`e_step`, serves both routes: it puts the observed rows ahead of the
+censored ones, takes the route's weighted sums (``_RouteSums``) and forms
+the statistics and log-likelihood from them.  Each route checks all its
+likelihood factors at once, so a zero-likelihood row raises at the same
+index on either.
 
 The denominators of the E-step are the likelihood factors of its
 representation, so the E-step also yields that representation's
@@ -287,146 +292,68 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
 
     Tied ``(z, delta)`` values are aggregated with summed weights first; a
     zero-likelihood observation raises pointing at its index in the original
-    data.
+    data, the first such row of ``data`` on either route.
 
     Each group (observed rows with ``vec = t``, censored rows with
     ``vec = 1``) needs ``pi expm(Tz)``, ``expm(Tz) vec`` and the convolution
     ``int_0^z expm(T(z-u)) vec pi expm(Tu) du`` at every distinct ``z``.
-    When ``rep`` has cached eigen-factors (cond(V) below
-    :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the test
-    :func:`~matlife.phasetype.ph_products` uses) they come in closed form
+    One driver orders the rows by group (:func:`_by_group`), takes their
+    weighted sums from the route (:class:`_RouteSums`) and forms the
+    statistics from them.  When ``rep`` has cached eigen-factors (cond(V)
+    below :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the test
+    :func:`~matlife.phasetype.ph_products` uses) the sums come in closed form
     from the spectrum, in one pass over the rows of both groups: O(p^3 + n p)
     in all, plus O(n) for each entry that cancellation sends row by row
-    (:func:`_eigen_sums`); otherwise from one Van Loan block exponential
-    per point (:func:`~matlife.linalg.expm_and_conv`).
+    (:func:`_spectral_sums`); otherwise from one Van Loan block exponential
+    per point (:func:`_van_loan_sums`).
 
     The ``loglik`` field is the log-likelihood of ``rep`` on ``data``, summed
     from the E-step's own denominators (the density factor of observed rows,
     the survival factor of censored ones).
     """
     sample = CensoredSample.coerce(data)
-    agg = sample.aggregate()
     spectrum = rep._spectrum
-    if spectrum is None:
-        b, v, njump, nabs, loglik_value = _van_loan_terms(rep, agg, sample)
-    else:
-        b, v, njump, nabs, loglik_value = _spectral_terms(rep, spectrum, agg, sample)
+    z, w, groups = _by_group(spectrum, sample.aggregate(), rep.exit_rates)
+    route = _van_loan_sums if spectrum is None else _spectral_sums
+    sums = route(rep, z, w, groups, sample)
+    njump = rep.T * sums.conv.T
     np.fill_diagonal(njump, 0.0)
-    stats = SufficientStats(np.maximum(b, 0.0), np.maximum(v, 0.0),
-                            np.maximum(njump, 0.0), np.maximum(nabs, 0.0),
-                            loglik_value)
+    stats = SufficientStats(np.maximum(rep.pi * sums.back, 0.0),
+                            np.maximum(np.diagonal(sums.conv), 0.0),
+                            np.maximum(njump, 0.0),
+                            np.maximum(rep.exit_rates * sums.front, 0.0),
+                            float(w @ np.log(sums.denom)))
     total = sample.total_weight
     if abs(stats.b.sum() - total) > 1e-8 * max(1.0, total):
         raise DegenerateObservationError(-1, "initiation counts fail to add up")
     return stats
 
 
-def _check_denominators(denom: np.ndarray, z: np.ndarray, observed,
+def _check_denominators(denom: np.ndarray, z: np.ndarray, observed: np.ndarray,
                         sample: CensoredSample) -> None:
     """Raise at the first row of ``sample`` whose ``(z, delta)`` matches a
-    row of ``z`` and ``observed`` (an array, or one flag for all rows) with
-    a zero likelihood factor ``denom``."""
+    row of ``z`` and ``observed`` with a zero likelihood factor ``denom``."""
     bad = denom <= 0
     if not bad.any():
         return
-    zero = set(zip(z[bad].tolist(),
-                   np.broadcast_to(observed, z.shape)[bad].astype(int).tolist()))
+    zero = set(zip(z[bad].tolist(), observed[bad].astype(int).tolist()))
     for idx in np.flatnonzero(np.isin(sample.z, z[bad])).tolist():
         if (sample.z[idx].item(), sample.delta[idx].item()) in zero:
             raise DegenerateObservationError(idx)
 
 
-def _van_loan_terms(rep: PHRepresentation, agg: CensoredSample,
-                    sample: CensoredSample) -> SufficientStats:
-    """The E-step sums of :func:`e_step` without eigen-factors, group by
-    group (:func:`_stacked_terms`)."""
-    p = rep.p
-    b = np.zeros(p)
-    v = np.zeros(p)
-    njump = np.zeros((p, p))
-    nabs = np.zeros(p)
-    loglik_value = 0.0
-    for observed, vec in ((True, rep.exit_rates), (False, np.ones(p))):
-        mask = agg.delta == observed
-        if not mask.any():
-            continue
-        w = agg.weight[mask]
-        terms, denom = _stacked_terms(rep, vec, agg.z[mask], observed, w, sample)
-        loglik_value += float(w @ np.log(denom))
-        b += terms.b
-        v += terms.v
-        njump += terms.njump
-        if observed:
-            nabs += terms.nabs
-    return SufficientStats(b, v, njump, nabs, loglik_value)
-
-
-def _stacked_terms(rep: PHRepresentation, vec: np.ndarray, z: np.ndarray,
-                   observed: bool, w: np.ndarray, sample: CensoredSample
-                   ) -> tuple[SufficientStats, np.ndarray]:
-    """One group's E-step terms, and its denominators ``pi expm(Tz) vec``,
-    from stacked Van Loan block exponentials."""
-    pi, t = rep.pi, rep.T
-    ez, conv = expm_and_conv(t, np.outer(vec, pi), z)
-    front = pi @ ez                      # (m, p): pi expm(Tz)
-    denom = front @ vec                  # (m,)
-    _check_denominators(denom, z, observed, sample)
-    scale = w / denom
-    back = ez @ vec                      # (m, p): expm(Tz) vec
-    return SufficientStats(pi * (scale @ back),
-                           scale @ np.einsum("mkk->mk", conv),
-                           t * np.einsum("m,mlk->kl", scale, conv),
-                           rep.exit_rates * (scale @ front)), denom
-
-
-def _spectral_terms(rep: PHRepresentation, spectrum: Spectrum,
-                    agg: CensoredSample, sample: CensoredSample
-                    ) -> SufficientStats:
-    """The E-step sums of :func:`e_step` in the eigenbasis
-    ``T = V diag(lam) V^-1``.
-
-    With ``r = pi V`` and ``c = V^-1 vec`` a group's convolution at ``z`` is
-    ``V [(c r^T) * D(z)] V^-1`` for the divided differences
-    ``D_ij(z) = (exp(lam_i z) - exp(lam_j z)) / (lam_i - lam_j)``, and
-    ``z exp(lam_i z)`` where ``lam_i == lam_j``.  Their weighted sums over
-    each group come from :func:`_eigen_sums`, with the observed rows moved
-    ahead of the censored ones.  The denominators take their coefficients
-    ``r * c`` from the same ``c`` as the statistics, and each group changes
-    basis on its own: a rounding apart between the two, or adding the
-    groups in the eigenbasis first, is amplified by cond(V).
-    """
-    exit_rates = rep.exit_rates
-    z, w, groups = _by_group(spectrum, agg, exit_rates)
-    sums = _eigen_sums(spectrum, z, w, groups, sample)
-    vecs, vinv, r = spectrum.vecs, spectrum.vecs_inv, spectrum.start
-    b = conv = 0.0
-    nabs = np.zeros(rep.p)
-    for group, se, dd in zip(groups, sums.se, sums.dd):
-        b = b + vecs @ (se * group.c)
-        conv = conv + vecs @ (np.multiply.outer(group.c, r) * dd) @ vinv
-        if group.observed:
-            nabs = exit_rates * ((se * r) @ vinv).real
-    conv = conv.real
-    return SufficientStats(rep.pi * b.real, np.diagonal(conv), rep.T * conv.T, nabs,
-                           float(w @ np.log(sums.denom)))
-
-
-#: a divided-difference sum is taken as ``(se_i - se_j) / (lam_i - lam_j)``
-#: unless that difference, times this factor, falls below the magnitude
-#: sums it came from, which would lose more than four bits to cancellation
-_CANCEL_FACTOR = 16
-
-
 class _Group(NamedTuple):
     """The observed or the censored rows of an E-step sample, as a slice of
-    rows, with ``c = V^-1 vec`` for its ``vec`` (``t`` or ``1``)."""
+    rows, with their ``vec`` (``t`` or ``1``) and, on the spectral route,
+    ``c = V^-1 vec`` (else ``None``)."""
 
     observed: bool
     rows: slice
-    c: np.ndarray
+    vec: np.ndarray
+    c: np.ndarray | None
 
 
-def _by_group(spectrum: Spectrum, agg: CensoredSample, exit_rates: np.ndarray
+def _by_group(spectrum: Spectrum | None, agg: CensoredSample, exit_rates: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, list[_Group]]:
     """``z`` and weights of ``agg`` with its observed rows moved ahead of its
     censored ones (each group keeps its order), and the groups present."""
@@ -436,13 +363,75 @@ def _by_group(spectrum: Spectrum, agg: CensoredSample, exit_rates: np.ndarray
     if 0 < n_observed < agg.n:
         order = np.argsort(~observed, kind="stable")
         z, w = z[order], w[order]
-    vinv = spectrum.vecs_inv
     groups = []
-    if n_observed:
-        groups.append(_Group(True, slice(0, n_observed), vinv @ exit_rates))
-    if n_observed < agg.n:
-        groups.append(_Group(False, slice(n_observed, agg.n), vinv @ np.ones(vinv.shape[0])))
+    for flag, rows, vec in ((True, slice(0, n_observed), exit_rates),
+                            (False, slice(n_observed, agg.n), np.ones(exit_rates.size))):
+        if rows.start < rows.stop:
+            c = None if spectrum is None else spectrum.vecs_inv @ vec
+            groups.append(_Group(flag, rows, vec, c))
     return z, w, groups
+
+
+class _RouteSums(NamedTuple):
+    """A route's E-step sums over the rows of both groups, with
+    ``scale = w / denom``, that :func:`e_step` forms the statistics from."""
+
+    denom: np.ndarray        # (m,) likelihood factor pi expm(Tz) vec of each row
+    back: np.ndarray         # (p,) sum of scale * expm(Tz) vec
+    conv: np.ndarray         # (p, p) sum of scale * the convolution at z
+    front: np.ndarray        # (p,) sum of scale * pi expm(Tz) over observed rows
+
+
+def _van_loan_sums(rep: PHRepresentation, z: np.ndarray, w: np.ndarray,
+                   groups: list[_Group], sample: CensoredSample) -> _RouteSums:
+    """The sums of :func:`e_step` without eigen-factors, from stacked Van
+    Loan block exponentials: one set per group, since the block's corner
+    ``vec pi`` differs by group."""
+    pi = rep.pi
+    blocks = [expm_and_conv(rep.T, np.outer(g.vec, pi), z[g.rows]) for g in groups]
+    fronts = [pi @ ez for ez, _ in blocks]             # (m_g, p): pi expm(Tz)
+    denom = np.concatenate([front @ g.vec for front, g in zip(fronts, groups)])
+    n_observed = groups[0].rows.stop if groups[0].observed else 0
+    _check_denominators(denom, z, np.arange(z.size) < n_observed, sample)
+    scale = w / denom
+    back = np.concatenate([ez @ g.vec for (ez, _), g in zip(blocks, groups)])
+    conv = np.einsum("m,mkl->kl", scale, np.concatenate([c for _, c in blocks]))
+    front = np.zeros(rep.p)
+    if groups[0].observed:
+        front = scale[groups[0].rows] @ fronts[0]
+    return _RouteSums(denom, scale @ back, conv, front)
+
+
+def _spectral_sums(rep: PHRepresentation, z: np.ndarray, w: np.ndarray,
+                   groups: list[_Group], sample: CensoredSample) -> _RouteSums:
+    """The sums of :func:`e_step` in the eigenbasis ``T = V diag(lam) V^-1``.
+
+    With ``r = pi V`` and ``c = V^-1 vec`` a group's convolution at ``z`` is
+    ``V [(c r^T) * D(z)] V^-1`` for the divided differences
+    ``D_ij(z) = (exp(lam_i z) - exp(lam_j z)) / (lam_i - lam_j)``, and
+    ``z exp(lam_i z)`` where ``lam_i == lam_j``.  Their weighted sums over
+    each group come from :func:`_eigen_sums`.  The denominators take their
+    coefficients ``r * c`` from the same ``c`` as the statistics, and each
+    group changes basis on its own: a rounding apart between the two, or
+    adding the groups in the eigenbasis first, is amplified by cond(V).
+    """
+    spectrum = rep._spectrum
+    sums = _eigen_sums(spectrum, z, w, groups, sample)
+    vecs, vinv, r = spectrum.vecs, spectrum.vecs_inv, spectrum.start
+    back = conv = 0.0
+    front = np.zeros(rep.p)
+    for group, se, dd in zip(groups, sums.se, sums.dd):
+        back = back + vecs @ (se * group.c)
+        conv = conv + vecs @ (np.multiply.outer(group.c, r) * dd) @ vinv
+        if group.observed:
+            front = ((se * r) @ vinv).real
+    return _RouteSums(sums.denom, back.real, conv.real, front)
+
+
+#: a divided-difference sum is taken as ``(se_i - se_j) / (lam_i - lam_j)``
+#: unless that difference, times this factor, falls below the magnitude
+#: sums it came from, which would lose more than four bits to cancellation
+_CANCEL_FACTOR = 16
 
 
 class _EigenSums(NamedTuple):
@@ -460,7 +449,7 @@ def _eigen_sums(spectrum: Spectrum, z: np.ndarray, w: np.ndarray,
                 groups: list[_Group], sample: CensoredSample) -> _EigenSums:
     """Denominators ``exp(z lam) @ (r * c)`` of each group's rows, and for
     each group ``se = scale @ exp(z lam)`` and ``sum_m scale_m D(z_m)`` over
-    its rows, for the symmetric matrices ``D`` of :func:`_spectral_terms`
+    its rows, for the symmetric matrices ``D`` of :func:`_spectral_sums`
     and ``scale = w / denom``; with no conjugate pair all are real arrays.
 
     One :func:`~matlife.phasetype._folded_exp` pass gives ``exp(z lam)``
@@ -620,6 +609,11 @@ def _run_em(spec: StructureSpec, init: PHRepresentation | None, rng,
     rep = init if init is not None else init_structure(spec, rng)
     if rep.p != spec.p:
         raise InvalidInputError("initial representation order disagrees with spec")
+    layout = _structure_layout(spec)
+    outside_rates, outside_starts = rep.T > 0, rep.pi > 0
+    outside_rates[layout.off] = outside_starts[layout.starts] = False
+    if outside_rates.any() or outside_starts.any():
+        raise InvalidInputError(f"initial representation falls outside the {spec.kind} structure")
     value, pending = start(rep, 0)
     trace = [] if value is None else [value]
     dead_events = iterations = streak = 0

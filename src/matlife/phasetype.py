@@ -140,23 +140,15 @@ def _conjugate_pairs(eigvals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray,
     exactly conjugate eigenvalues and eigenvectors; the folded kernels rely
     on that layout, so any other raises :class:`DomainError`.
     """
-    p = eigvals.size
     if not np.iscomplexobj(eigvals):
-        return np.arange(p), np.arange(0)
-    real, pairs = [], []
-    k = 0
-    while k < p:
-        if eigvals[k].imag == 0:
-            real.append(k)
-            k += 1
-            continue
-        if (eigvals[k].imag < 0 or k + 1 == p
-                or eigvals[k + 1] != eigvals[k].conjugate()
-                or not np.array_equal(vecs[:, k + 1], vecs[:, k].conj())):
-            raise DomainError("eigenvalues are not in adjacent conjugate pairs")
-        pairs.append(k)
-        k += 2
-    return np.asarray(real, dtype=np.intp), np.asarray(pairs, dtype=np.intp)
+        return np.arange(eigvals.size), np.arange(0)
+    imag = eigvals.imag
+    pairs = np.flatnonzero(imag > 0)
+    if not (np.array_equal(np.flatnonzero(imag < 0), pairs + 1)
+            and np.array_equal(eigvals[pairs + 1], eigvals[pairs].conj())
+            and np.array_equal(vecs[:, pairs + 1], vecs[:, pairs].conj())):
+        raise DomainError("eigenvalues are not in adjacent conjugate pairs")
+    return np.flatnonzero(imag == 0), pairs
 
 
 @dataclass(frozen=True)

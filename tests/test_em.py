@@ -230,6 +230,11 @@ def stacked_twin(rep):
     return twin
 
 
+#: runs a test on the representation it builds and on its Van Loan twin
+ON_BOTH_ROUTES = pytest.mark.parametrize("route", [lambda rep: rep, stacked_twin],
+                                         ids=["spectral", "van_loan"])
+
+
 def assert_routes_agree(rep, data, rtol=1e-9):
     """The spectral E-step matches the Van Loan one normwise, per statistic."""
     assert rep._spectrum is not None
@@ -445,24 +450,44 @@ class TestSpectralEStep:
             tracemalloc.stop()
         assert peak < 4 * m * rep.p * np.dtype(complex).itemsize
 
-    def test_zero_denominator_raises_at_original_index(self):
+    @ON_BOTH_ROUTES
+    def test_zero_denominator_raises_at_original_index(self, route):
         rep = PHRepresentation([0.5, 0.5], np.diag([-1.0, -2.0]))
         assert rep._spectrum is not None
         data = CensoredSample([1.5, 0.5, 900.0, 2.0], [1, 0, 1, 0],
                               [1.0, 1.0, 1.0, 1.0])
         with pytest.raises(DegenerateObservationError) as info:
-            e_step(rep, data)
+            e_step(route(rep), data)
         assert info.value.index == 2
 
-    def test_zero_density_raises_at_the_row_with_that_status(self):
-        # row 0 is censored, with survival 1; row 2 has the same z, but its
-        # density 2 (exp(-z) - exp(-2z)) rounds to zero
-        rep = PHRepresentation([1.0, 0.0], [[-1.0, 1.0], [0.0, -2.0]])
+    @ON_BOTH_ROUTES
+    def test_zero_density_raises_at_the_row_with_that_status(self, route):
+        # row 0 is censored, with survival 1; row 2 has the same z, the
+        # smallest positive double, at which the jump rate times z underflows,
+        # so on either route its density 0.2 (exp(-0.1 z) - exp(-2 z)) / 1.9
+        # is zero
+        rep = PHRepresentation([1.0, 0.0], [[-0.1, 0.1], [0.0, -2.0]])
         assert rep._spectrum is not None
-        data = CensoredSample([1e-17, 0.5, 1e-17], [0, 1, 1], [1.0, 1.0, 1.0])
+        tiny = np.nextafter(0.0, 1.0)
+        data = CensoredSample([tiny, 0.5, tiny], [0, 1, 1], [1.0, 1.0, 1.0])
         with pytest.raises(DegenerateObservationError) as info:
-            e_step(rep, data)
+            e_step(route(rep), data)
         assert info.value.index == 2
+
+    @ON_BOTH_ROUTES
+    @pytest.mark.parametrize("z,delta,index", [
+        ([900.0, 900.0], [0, 1], 0),
+        ([1.5, 900.0, 0.5, 900.0], [1, 0, 0, 1], 1),
+    ])
+    def test_first_zero_likelihood_row_raises_whatever_its_status(
+            self, route, z, delta, index):
+        # both statuses of z = 900 have zero likelihood; the first such row
+        # of the data is named, observed or censored
+        rep = PHRepresentation([0.5, 0.5], np.diag([-1.0, -2.0]))
+        assert rep._spectrum is not None
+        with pytest.raises(DegenerateObservationError) as info:
+            e_step(route(rep), CensoredSample(z, delta, np.ones(len(z))))
+        assert info.value.index == index
 
 
 #: a sample small enough for the 50-digit oracle: both groups, a time tied
@@ -702,6 +727,25 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit_ph(CensoredSample([1.0], [1], [1.0]), StructureSpec("general", 2),
                    init=rep)
+
+    #: an exponential sample and a start with a backward rate and two
+    #: start weights
+    OFF_STRUCTURE = (CensoredSample(np.random.default_rng(0).exponential(1.0, 200),
+                                    np.ones(200, int), np.ones(200)),
+                     PHRepresentation([0.5, 0.5], [[-2.0, 1.0], [0.5, -1.5]]))
+
+    @pytest.mark.parametrize("kind", ["coxian", "generalized_coxian"])
+    def test_init_outside_the_structure_is_refused(self, kind):
+        data, init = self.OFF_STRUCTURE
+        with pytest.raises(InvalidInputError, match=kind):
+            fit_ph(data, StructureSpec(kind, 2), EMConfig(max_iterations=20), init=init)
+
+    def test_init_inside_a_wider_structure_fits(self):
+        data = self.OFF_STRUCTURE[0]
+        init = PHRepresentation([1.0, 0.0], [[-2.0, 1.0], [0.0, -1.5]])
+        res = fit_ph(data, StructureSpec("general", 2), EMConfig(max_iterations=20),
+                     init=init)
+        assert res.iterations > 0
 
     def test_negative_iteration_budget_rejected(self):
         with pytest.raises(InvalidInputError, match="max_iterations"):

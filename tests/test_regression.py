@@ -570,6 +570,13 @@ class TestFit:
         assert pi.model.rep.T.tobytes() == ph.rep.T.tobytes()
         assert pi.loglik == ph.loglik
 
+    def test_init_outside_the_structure_is_refused(self):
+        y = np.random.default_rng(0).exponential(1.0, 200)
+        sample = RegressionSample(y, np.ones(200, int), np.empty((200, 0)), None)
+        init = PHRepresentation([0.5, 0.5], [[-2.0, 1.0], [0.5, -1.5]])
+        with pytest.raises(InvalidInputError, match="coxian"):
+            fit_pi(sample, StructureSpec("coxian", 2), family="weibull", init=init)
+
     def test_failed_e_step_names_its_outer_iteration(self):
         sample = simulate_study(3, n_per_group=200).sample
         init = PHRepresentation([1, 0, 0], [[-2, 1, 0], [0, -1, .5], [0, 0, -.2]])
