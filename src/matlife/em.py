@@ -329,13 +329,16 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     return stats
 
 
-def _check_denominators(denom: np.ndarray, z: np.ndarray, observed: np.ndarray,
-                        sample: CensoredSample) -> None:
-    """Raise at the first row of ``sample`` whose ``(z, delta)`` matches a
-    row of ``z`` and ``observed`` with a zero likelihood factor ``denom``."""
-    bad = denom <= 0
+def _scales(w: np.ndarray, denom: np.ndarray, z: np.ndarray, observed: np.ndarray,
+            sample: CensoredSample) -> np.ndarray:
+    """``w / denom``, raising at the first row of ``sample`` whose ``(z, delta)``
+    matches a row of ``z`` and ``observed`` with a likelihood factor ``denom``
+    that is zero or so small (subnormal) that the quotient is not finite."""
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = w / denom
+    bad = (denom <= 0) | ~np.isfinite(scale)
     if not bad.any():
-        return
+        return scale
     zero = set(zip(z[bad].tolist(), observed[bad].astype(int).tolist()))
     for idx in np.flatnonzero(np.isin(sample.z, z[bad])).tolist():
         if (sample.z[idx].item(), sample.delta[idx].item()) in zero:
@@ -392,8 +395,7 @@ def _van_loan_sums(rep: PHRepresentation, z: np.ndarray, w: np.ndarray,
     fronts = [pi @ ez for ez, _ in blocks]             # (m_g, p): pi expm(Tz)
     denom = np.concatenate([front @ g.vec for front, g in zip(fronts, groups)])
     n_observed = groups[0].rows.stop if groups[0].observed else 0
-    _check_denominators(denom, z, np.arange(z.size) < n_observed, sample)
-    scale = w / denom
+    scale = _scales(w, denom, z, np.arange(z.size) < n_observed, sample)
     back = np.concatenate([ez @ g.vec for (ez, _), g in zip(blocks, groups)])
     conv = np.einsum("m,mkl->kl", scale, np.concatenate([c for _, c in blocks]))
     front = np.zeros(rep.p)
@@ -473,8 +475,7 @@ def _eigen_sums(spectrum: Spectrum, z: np.ndarray, w: np.ndarray,
                        np.concatenate([f[g.rows] for f, g in zip(factors, groups)]),
                        0.0)
     n_observed = groups[0].rows.stop if groups[0].observed else 0
-    _check_denominators(denom, z, np.arange(z.size) < n_observed, sample)
-    scale = w / denom
+    scale = _scales(w, denom, z, np.arange(z.size) < n_observed, sample)
 
     # each group's sums of weight * columns over its rows (None for no columns)
     sums = lambda weight, columns: (None if columns is None else

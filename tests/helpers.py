@@ -282,6 +282,14 @@ def rotating_representation(p, pairs, seed=0):
     return rep
 
 
+
+def without_spectrum(rep):
+    """Copy of ``rep`` without eigen-factors: its products and E-step take
+    the Van Loan route, its matrix functions the contour."""
+    twin = PHRepresentation(rep.pi, rep.T)
+    twin.__dict__["_spectrum"] = None  # fills the cached eigen-factors
+    return twin
+
 def spectrum_by_fresh_eig(rep):
     """``rep._spectrum`` from a decomposition of its own: a fresh
     ``np.linalg.eig(rep.T)`` tested with ``np.linalg.cond`` (reference for
@@ -493,3 +501,46 @@ def mp_e_step(rep, data, dps=50):
         return SufficientStats(as_array(b).ravel(), as_array(v).ravel(),
                                as_array(njump), as_array(nabs).ravel(),
                                float(loglik))
+
+
+def mp_mean(model, dps=30):
+    """``model.mean()`` to ``dps`` digits (reference for the Weibull and
+    Gompertz means).
+
+    For an Erlang chain (equal rates, each state feeding the next, a
+    defective ``T``) it is one ``mpmath.quad`` of ``g(z)`` against the
+    mixture of Erlang densities that ``pi`` starts, ``g`` being the
+    inverse clock (``log1p(beta z) / beta`` or ``z^(1/theta)``).  Otherwise
+    it is ``pi V f(mu) V^-1 1`` from ``mpmath.eig`` of ``M = -T / beta``
+    with ``f(x) = exp(x) E1(x) / beta`` (Gompertz), or of ``M = -T`` with
+    ``f(x) = Gamma(1 + 1/theta) x^(-1/theta)`` (Weibull), on the exact
+    binary values of ``pi`` and ``T``.
+    """
+    import mpmath  # loaded on call: the benchmark loads this module in set-up
+
+    rep, transform = model.rep, model.transform
+    t, pi, p = rep.T, rep.pi, rep.p
+    rate = -t[0, 0]
+    erlang = np.array_equal(t, rate * (np.eye(p, k=1) - np.eye(p)))
+    with mpmath.workdps(dps):
+        if transform.family == "gompertz":
+            beta = mpmath.mpf(transform.beta)
+            clock = lambda z: mpmath.log1p(beta * z) / beta
+            scale, f = beta, lambda x: mpmath.exp(x) * mpmath.e1(x) / beta
+        else:
+            inv = 1 / mpmath.mpf(transform.theta)
+            clock = lambda z: z ** inv
+            scale, f = 1, lambda x: mpmath.gamma(1 + inv) * x ** -inv
+        if erlang:
+            r = mpmath.mpf(rate)
+            total = mpmath.mpf(0)
+            for j, weight in enumerate(pi.tolist()):
+                k = p - j
+                if weight:
+                    density = lambda z: r ** k * z ** (k - 1) * mpmath.exp(-r * z)
+                    total += weight * mpmath.quad(lambda z: clock(z) * density(z),
+                                                  [0, k / r, mpmath.inf]) / mpmath.factorial(k - 1)
+            return float(total)
+        lam, vecs = mpmath.eig(-mpmath.matrix(t.tolist()) / scale)
+        u = vecs * mpmath.diag([f(x) for x in lam]) * mpmath.inverse(vecs)
+        return float(mpmath.re((mpmath.matrix([pi.tolist()]) * u * mpmath.ones(p, 1))[0]))

@@ -812,6 +812,13 @@ codes = [
     cli.main(["fit-mortality", table, "--em-iters", "5", "--max-evals", "60",
               "--restarts", "1", "--seed", "3", "--out-dir", out + "/mort"]),
 ]
+from matlife.inhomogeneity import GompertzTransform, WeibullTransform
+from matlife.phasetype import IPHModel, PHRepresentation
+for rep in (PHRepresentation([0.5, 0.5], [[-1.0, 0.5], [0.0, -0.02]]),
+            PHRepresentation([1.0, 0.0], [[-2.0, 2.0], [0.0, -2.0]])):
+    IPHModel(rep, GompertzTransform(0.5)).mean()
+    IPHModel(rep, GompertzTransform(0.5)).green_matrix()
+    IPHModel(rep, WeibullTransform(1.5)).mean()
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 print(codes, loaded)
 """
@@ -820,7 +827,9 @@ print(codes, loaded)
 def test_cli_workflow_leaves_stats_and_optimize_unloaded(tmp_path):
     # no command loads a scipy module on a well-conditioned model: the
     # direct fit runs the in-house Nelder-Mead, and the seed keeps every
-    # fit-mortality iterate on the spectral route, away from scipy's expm
+    # fit-mortality iterate on the spectral route, away from scipy's expm;
+    # the Gompertz and Weibull means and Green matrix load none either, on
+    # the eigen-factors or, for an Erlang chain, on the contour
     data = write_sample_csv(tmp_path / "s.csv")
     table = write_rates_table(tmp_path / "t.txt", range(60, 70), range(1990, 1994),
                               lambda a, y: 1e-4 * np.exp(0.09 * a - 0.01 * (y - 1990)))

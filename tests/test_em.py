@@ -41,6 +41,7 @@ from helpers import (
     random_representation,
     rotating_representation,
     unfolded_divided_differences,
+    without_spectrum,
 )
 
 
@@ -223,11 +224,8 @@ class TestEStep:
             e_step(rep, CensoredSample([huge], [1], [1.0]))
 
 
-def stacked_twin(rep):
-    """Copy of ``rep`` whose E-step takes the Van Loan route."""
-    twin = PHRepresentation(rep.pi, rep.T)
-    twin.__dict__["_spectrum"] = None  # fills the cached eigen-factors
-    return twin
+#: copy of a representation whose E-step takes the Van Loan route
+stacked_twin = without_spectrum
 
 
 #: runs a test on the representation it builds and on its Van Loan twin
@@ -488,6 +486,26 @@ class TestSpectralEStep:
         with pytest.raises(DegenerateObservationError) as info:
             e_step(route(rep), CensoredSample(z, delta, np.ones(len(z))))
         assert info.value.index == index
+
+    @ON_BOTH_ROUTES
+    @pytest.mark.parametrize("pi,t,z,index", [
+        # density e^-725 (1 - e^-725) / 2: subnormal, with a finite log
+        ([0.5, 0.5], [[-2.0, 1.0], [0.0, -1.0]], [1.0, 725.0], 1),
+        # density about 2e-323 at the smallest z: subnormal on the Van
+        # Loan route, rounded to zero on the spectral one
+        ([1.0, 0.0], [[-1.0, 1.0], [0.0, -2.0]], [1e-323, 0.5], 0),
+    ])
+    def test_subnormal_factor_raises_instead_of_nan_statistics(
+            self, route, pi, t, z, index):
+        # weight over factor overflows, which made the statistics NaN
+        data = CensoredSample(z, [1, 1], [1.0, 1.0])
+        rep = route(PHRepresentation(pi, t))
+        with pytest.raises(DegenerateObservationError) as info:
+            e_step(rep, data)
+        assert info.value.index == index
+        with pytest.raises(DegenerateObservationError):
+            fit_ph(data, StructureSpec("general", 2), EMConfig(max_iterations=2),
+                   init=rep)
 
 
 #: a sample small enough for the 50-digit oracle: both groups, a time tied

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad, quad_vec
-from scipy.linalg import fractional_matrix_power
 
-from matlife.exceptions import DomainError, InvalidInputError
-from matlife.linalg import expm_and_conv, matrix_function, mexp
+from matlife.exceptions import InvalidInputError
+from matlife.linalg import expm_and_conv, mexp
 
 from helpers import (random_sub_intensity, simpson_conv, taylor_expm,
                      taylor_expm_stack)
@@ -94,62 +92,3 @@ class TestConvIntegral:
     def test_negative_limit_rejected(self):
         with pytest.raises(InvalidInputError):
             conv_at(np.array([[-1.0]]), np.eye(1), -0.5)
-
-
-class TestMatrixFunction:
-    def test_inverse_matches_solver(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(4, 4)) + 5.0 * np.eye(4)
-        assert_allclose(matrix_function(a, "power", alpha=-1.0),
-                        np.linalg.inv(a), rtol=1e-9)
-
-    def test_square_root_squares_back(self):
-        rng = np.random.default_rng(9)
-        t = random_sub_intensity(rng, 4)
-        root = matrix_function(-t, "power", alpha=0.5)
-        assert_allclose(root @ root, -t, rtol=1e-9)
-
-    def test_exp1_matches_mexp_quadrature(self):
-        # E1(A) = integral_1^inf expm(-A u) / u du for a spectrum in the
-        # right half-plane
-        rng = np.random.default_rng(13)
-        a = -random_sub_intensity(rng, 3)
-        expected, err = quad_vec(lambda u: mexp(-a * u) / u, 1.0, np.inf,
-                                 epsabs=1e-14, epsrel=1e-12)
-        assert err < 1e-10
-        assert_allclose(matrix_function(a, "exp1"), expected, rtol=1e-9, atol=1e-12)
-
-    def test_exponential_integral_scalar_value(self):
-        # reference: direct quadrature of integral_1^inf exp(-u)/u du
-        expected, err = quad(lambda u: np.exp(-u) / u, 1.0, np.inf)
-        assert err < 1e-8
-        got = matrix_function(np.array([[1.0]]), "exp1")
-        assert_allclose(got[0, 0], expected, rtol=1e-8)
-        assert_allclose(expected, 0.2193839, rtol=1e-6)
-
-    def test_complex_pair_real_result(self):
-        # rotation-like spectrum: the square root must come out real
-        a = np.array([[-1.0, 2.0], [-2.0, -1.0]])
-        root = matrix_function(a, "power", alpha=0.5)
-        assert not np.iscomplexobj(root)
-        assert_allclose(root @ root, a, rtol=1e-9, atol=1e-12)
-
-    def test_near_defective_falls_back_to_contour(self):
-        # Jordan-like block has an ill-conditioned eigenbasis; the contour
-        # route should still deliver a usable square root
-        a = -np.array([[-1.0, 1.0], [0.0, -1.0 + 1e-12]])
-        assert np.linalg.cond(np.linalg.eig(a)[1]) > 1e8
-        assert_allclose(matrix_function(a, "power", alpha=0.5),
-                        fractional_matrix_power(a, 0.5), rtol=1e-6, atol=1e-9)
-
-    def test_singular_inverse_raises(self):
-        singular = np.diag([1.0, 0.0])
-        with pytest.raises(DomainError):
-            matrix_function(singular, "power", alpha=-1.0)
-        with pytest.raises(DomainError):
-            matrix_function(singular, "exp1")
-
-    def test_unknown_id_rejected(self):
-        for f in ("not-a-function", "inverse", "exp", "laplace_g"):
-            with pytest.raises(InvalidInputError):
-                matrix_function(np.eye(2), f)

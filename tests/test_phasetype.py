@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -26,7 +26,9 @@ from matlife.phasetype import (
     IPHModel,
     PHRepresentation,
     _conjugate_pairs,
+    _exp_e1,
     _folded_exp,
+    _matrix_fn,
     _products,
     _unfolded,
     coxian_density,
@@ -38,6 +40,7 @@ from matlife.phasetype import (
 
 from helpers import (
     evaluate_by_fresh_eig,
+    mp_mean,
     mp_products,
     random_representation,
     random_sub_intensity,
@@ -45,6 +48,7 @@ from helpers import (
     spectrum_by_fresh_eig,
     taylor_expm,
     unfolded_products,
+    without_spectrum,
 )
 
 
@@ -354,6 +358,141 @@ class TestMoments:
             model.green_matrix()
 
 
+@st.composite
+def mean_cases(draw):
+    """``(pi, T)`` of order 1-5, general or Coxian, whose rows are scaled
+    apart by up to four decades and whose largest rate is one."""
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = random_sub_intensity(rng, p, draw(st.sampled_from(["general", "coxian"])))
+    t *= 10.0 ** rng.uniform(-4.0, 0.0, (p, 1))
+    return rng.dirichlet(np.ones(p)).tolist(), (t / -t.diagonal().min()).tolist()
+
+
+#: the Gompertz means that evaluating exp and E1 apart got wrong (-6.6e69
+#: and -9.8e169): 31.406089804968 and 23.526142504419
+GOMPERTZ_REPRODUCTIONS = [
+    ([0.5, 0.5], [[-1.0, 0.5], [0.0, -0.02]], 0.005),
+    ([0.5798, 0.4202], [[-0.0240, 0.0240], [0.0105, -1.0105]], 0.0023),
+]
+
+
+class TestMatrixFunctions:
+    """The Weibull and Gompertz means and Green matrices, evaluated on the
+    representation's own decomposition, against 30-digit mpmath."""
+
+    def test_exp_e1_against_mpmath(self):
+        import mpmath
+
+        radii = np.geomspace(1e-12, 1e8, 41)
+        angles = np.linspace(-1.0, 1.0, 21) * (np.pi / 2) * (1 - 1e-4)
+        x = np.multiply.outer(radii, np.exp(1j * angles)).ravel()
+        with mpmath.workdps(30):
+            want = np.array([complex(mpmath.exp(v) * mpmath.e1(v))
+                             for v in map(mpmath.mpc, x.tolist())])
+        assert np.max(np.abs(_exp_e1(x) - want) / np.abs(want)) < 1e-14
+
+    def test_weibull_unit_shape_is_the_plain_mean(self):
+        rep = random_representation(np.random.default_rng(5), 4)
+        assert_allclose(IPHModel(rep, WeibullTransform(1.0)).mean(),
+                        IPHModel(rep).mean(), rtol=1e-12)
+
+    @pytest.mark.parametrize("route", [lambda rep: rep, without_spectrum],
+                             ids=["spectral", "contour"])
+    def test_square_root_squares_back(self, route):
+        t = random_sub_intensity(np.random.default_rng(9), 4)
+        root = _matrix_fn(route(PHRepresentation(np.eye(4)[0], t)), np.sqrt, 1.0)
+        assert_allclose(root @ root, -t, rtol=1e-9)
+
+    @pytest.mark.parametrize("pi,t,beta", GOMPERTZ_REPRODUCTIONS, ids=["first", "second"])
+    def test_gompertz_reproductions(self, pi, t, beta):
+        model = IPHModel(PHRepresentation(pi, t), GompertzTransform(beta))
+        assert_allclose(model.mean(), mp_mean(model), rtol=1e-12)
+
+    @pytest.mark.parametrize("p,pairs", [(3, 1), (5, 1), (6, 2)])
+    @pytest.mark.parametrize("transform", [GompertzTransform(0.05),
+                                           WeibullTransform(0.6),
+                                           WeibullTransform(2.5)], ids=repr)
+    def test_complex_pairs_against_mpmath(self, p, pairs, transform):
+        model = IPHModel(rotating_representation(p, pairs), transform)
+        assert model.rep._spectrum.pairs.size == pairs
+        assert_allclose(model.mean(), mp_mean(model), rtol=1e-12)
+
+    @pytest.mark.parametrize("p,rate,transform", [
+        (3, 2.0, GompertzTransform(1.0)),
+        (4, 3.0, GompertzTransform(1.0)),
+        (4, 3.0, WeibullTransform(0.7)),
+        (4, 3.0, WeibullTransform(2.0)),
+        (8, 3.0, GompertzTransform(1.0)),
+        (10, 3.0, WeibullTransform(0.7)),
+    ], ids=repr)
+    def test_defective_erlang_on_the_contour(self, p, rate, transform):
+        # coinciding eigenvalues: a radius of half the distance to the cut
+        # keeps the rounding of their pole of order p small (a radius of
+        # 0.03 of it was 3e-7 off at p = 8 and 7e-5 at p = 10)
+        model = IPHModel(erlang(p, rate), transform)
+        assert model.rep._spectrum is None
+        assert_allclose(model.mean(), mp_mean(model), rtol=1e-12)
+
+    def test_near_jordan_pair_on_the_contour(self):
+        model = IPHModel(PHRepresentation([0.5, 0.5], [[-1.0, 1.0], [0.0, -1.0 - 1e-9]]),
+                         GompertzTransform(0.5))
+        assert model.rep._spectrum is None
+        assert_allclose(model.mean(), mp_mean(model, dps=50), rtol=1e-12)
+
+    @pytest.mark.parametrize("transform", [GompertzTransform(0.05), WeibullTransform(1.5)],
+                             ids=repr)
+    def test_ill_conditioned_spread_spectrum_raises(self, transform):
+        # cond(V) = 2.4e7 leaves the eigen-factors, and the circle about
+        # eigenvalues 1, 1 and 0.01 nearly meets the cut: its rule is off by
+        # 0.25 and more, and it changes that much on every second node
+        t = [[-1.0, 1.0, 0.0], [0.0, -1.0 - 1e-7, 0.5], [0.0, 0.0, -0.01]]
+        model = IPHModel(PHRepresentation([0.5, 0.3, 0.2], t), transform)
+        assert model.rep._spectrum is None
+        with pytest.raises(DomainError, match="unresolved"):
+            model.mean()
+
+    @pytest.mark.parametrize("slow,unresolved", [(0.11, False), (0.06, True)])
+    def test_contour_resolves_or_raises(self, slow, unresolved):
+        # a Jordan pair at 1 and a rate ``slow``: the spread is 0.84 and
+        # 0.91 of the distance to the cut, where the 512-node rule and the
+        # rule on every second node differ by 4e-10 and 1e-5
+        t = np.diag([-1.0, -1.0 - 1e-9, -slow]) + np.diag([1.0, 0.5], 1)
+        model = IPHModel(PHRepresentation([0.5, 0.3, 0.2], t), WeibullTransform(1.5))
+        assert model.rep._spectrum is None
+        if unresolved:
+            with pytest.raises(DomainError, match="unresolved"):
+                model.mean()
+        else:
+            assert_allclose(model.mean(), mp_mean(model, dps=50), rtol=1e-14)
+
+    def test_contour_meeting_the_cut_raises(self):
+        # eigenvalues 0.02 (a Jordan pair) and 3 lie farther from their
+        # mean than the mean from zero
+        t = [[-0.02, 0.02, 0.0], [0.0, -0.02, 0.01], [0.0, 0.0, -3.0]]
+        model = IPHModel(PHRepresentation([0.5, 0.3, 0.2], t), GompertzTransform(0.5))
+        assert model.rep._spectrum is None
+        with pytest.raises(DomainError, match="cut"):
+            model.green_matrix()
+
+    @given(case=mean_cases(), beta=st.integers(-600, 0).map(lambda k: 10.0 ** (k / 100)),
+           theta=st.floats(0.5, 3.0))
+    @example(case=GOMPERTZ_REPRODUCTIONS[0][:2], beta=GOMPERTZ_REPRODUCTIONS[0][2], theta=1.5)
+    @example(case=GOMPERTZ_REPRODUCTIONS[1][:2], beta=GOMPERTZ_REPRODUCTIONS[1][2], theta=0.5)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_means_against_mpmath(self, case, beta, theta):
+        # rates from 1e-4 to 1 against beta from 1e-6 to 1: rate / beta up to 1e6
+        rep = PHRepresentation(*case)
+        for transform in (GompertzTransform(beta), WeibullTransform(theta)):
+            model = IPHModel(rep, transform)
+            if rep._spectrum is None:
+                try:
+                    model.mean()
+                except DomainError:
+                    continue
+            assert_allclose(model.mean(), mp_mean(model), rtol=1e-10)
+
+
 class TestResidualLifetime:
     def test_survival_ratio_identity(self):
         rng = np.random.default_rng(4)
@@ -447,10 +586,11 @@ class TestTail:
         assert_allclose(ratio, c, rtol=1e-6)
 
 
-def erlang(p):
-    """Unit-rate Erlang chain of order ``p``; its eigenvector matrix is
-    singular to working precision, and exactly singular from ``p = 21`` on."""
-    return PHRepresentation(np.eye(p)[0], np.eye(p, k=1) - np.eye(p))
+def erlang(p, rate=1.0):
+    """Erlang chain of order ``p`` (unit rate by default); its eigenvector
+    matrix is singular to working precision, and exactly singular from
+    ``p = 21`` on."""
+    return PHRepresentation(np.eye(p)[0], rate * (np.eye(p, k=1) - np.eye(p)))
 
 
 class TestOneDecomposition:
