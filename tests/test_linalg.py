@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad_vec
 
 from matlife.exceptions import InvalidInputError
 from matlife.linalg import expm_and_conv, mexp
+from matlife.phasetype import PHRepresentation, _exp_e1, _matrix_fn
 
 from helpers import (random_sub_intensity, simpson_conv, taylor_expm,
-                     taylor_expm_stack)
+                     taylor_expm_stack, without_spectrum)
 
 
 class TestMexp:
@@ -92,3 +94,18 @@ class TestConvIntegral:
     def test_negative_limit_rejected(self):
         with pytest.raises(InvalidInputError):
             conv_at(np.array([[-1.0]]), np.eye(1), -0.5)
+
+
+class TestMatrixFunction:
+    def test_exp1_matches_mexp_quadrature(self):
+        # E1(A) = integral_1^inf expm(-A u) / u du for A = -T, whose spectrum
+        # lies in the right half-plane; _matrix_fn gives exp(A) E1(A)
+        rng = np.random.default_rng(13)
+        t = random_sub_intensity(rng, 3)
+        expected, err = quad_vec(lambda u: mexp(t * u) / u, 1.0, np.inf,
+                                 epsabs=1e-14, epsrel=1e-12)
+        assert err < 1e-10
+        rep = PHRepresentation(np.eye(3)[0], t)
+        for route in (rep, without_spectrum(rep)):
+            got = mexp(t) @ _matrix_fn(route, _exp_e1, 1.0)
+            assert_allclose(got, expected, rtol=1e-9, atol=1e-12)
