@@ -9,7 +9,6 @@ from . import (  # noqa: F401
     exceptions,
     inhomogeneity,
     io,
-    linalg,
     mortality,
     phasetype,
     regression,

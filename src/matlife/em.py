@@ -7,7 +7,7 @@ reestimation.  The observed-data log-likelihood never decreases along the
 iteration.
 
 The E-step has two routes.  When the eigenvector matrix of ``T`` has
-condition number below :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the
+condition number below :data:`~matlife.phasetype.PRODUCTS_COND_LIMIT`, the
 convolution integrals come in closed form from the cached eigen-factors,
 through divided differences of ``exp(lambda z)``, in one pass over the
 sample: one ``exp(z lambda)`` for every row of both observation groups,
@@ -20,7 +20,8 @@ pair are the conjugates of the first member's; only :mod:`~matlife.phasetype`
 knows the pairs, and folds them in and out (``_folded_exp``, ``_unfolded``).
 A real spectrum runs in real arithmetic throughout.  Otherwise
 (near-defective ``T``, such as a Coxian chain with nearly equal rates)
-each distinct ``z`` costs one Van Loan block exponential.  One driver,
+each distinct ``z`` costs one Van Loan block exponential, by the
+nonnegative-series kernel ``phasetype._expm``.  One driver,
 :func:`e_step`, serves both routes: it puts the observed rows ahead of the
 censored ones, takes the route's weighted sums (``_RouteSums``) and forms
 the statistics and log-likelihood from them.  Each route checks all its
@@ -47,9 +48,8 @@ from .exceptions import (
     DegenerateObservationError,
     InvalidInputError,
 )
-from .linalg import expm_and_conv
-from .phasetype import (PHRepresentation, Spectrum, _censored_loglik, _folded_exp,
-                        _unfolded)
+from .phasetype import (PHRepresentation, Spectrum, _censored_loglik, _expm,
+                        _folded_exp, _unfolded)
 
 __all__ = [
     "SurvObservation",
@@ -300,7 +300,7 @@ def e_step(rep: PHRepresentation, data) -> SufficientStats:
     One driver orders the rows by group (:func:`_by_group`), takes their
     weighted sums from the route (:class:`_RouteSums`) and forms the
     statistics from them.  When ``rep`` has cached eigen-factors (cond(V)
-    below :data:`~matlife.linalg.PRODUCTS_COND_LIMIT`, the test
+    below :data:`~matlife.phasetype.PRODUCTS_COND_LIMIT`, the test
     :func:`~matlife.phasetype.ph_products` uses) the sums come in closed form
     from the spectrum, in one pass over the rows of both groups: O(p^3 + n p)
     in all, plus O(n) for each entry that cancellation sends row by row
@@ -391,7 +391,7 @@ def _van_loan_sums(rep: PHRepresentation, z: np.ndarray, w: np.ndarray,
     Loan block exponentials: one set per group, since the block's corner
     ``vec pi`` differs by group."""
     pi = rep.pi
-    blocks = [expm_and_conv(rep.T, np.outer(g.vec, pi), z[g.rows]) for g in groups]
+    blocks = [_van_loan(rep.T, np.outer(g.vec, pi), z[g.rows]) for g in groups]
     fronts = [pi @ ez for ez, _ in blocks]             # (m_g, p): pi expm(Tz)
     denom = np.concatenate([front @ g.vec for front, g in zip(fronts, groups)])
     n_observed = groups[0].rows.stop if groups[0].observed else 0
@@ -402,6 +402,20 @@ def _van_loan_sums(rep: PHRepresentation, z: np.ndarray, w: np.ndarray,
     if groups[0].observed:
         front = scale[groups[0].rows] @ fronts[0]
     return _RouteSums(denom, scale @ back, conv, front)
+
+
+def _van_loan(t: np.ndarray, corner: np.ndarray, z: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """``expm(t z)`` and ``int_0^z expm(t (z - u)) corner expm(t u) du`` at
+    each ``z``: the upper-left and upper-right blocks of one exponential
+    ``expm([[t, corner], [0, t]] z)`` (Van Loan 1978), whose off-diagonal
+    entries are nonnegative for a sub-intensity ``t`` and ``corner >= 0``."""
+    p = t.shape[0]
+    block = np.zeros((2 * p, 2 * p))
+    block[:p, :p] = block[p:, p:] = t
+    block[:p, p:] = corner
+    full = _expm(block * z[:, None, None])
+    return full[:, :p, :p], full[:, :p, p:]
 
 
 def _spectral_sums(rep: PHRepresentation, z: np.ndarray, w: np.ndarray,

@@ -9,10 +9,11 @@ import numpy as np
 
 from matlife.em import SufficientStats
 from matlife.exceptions import DomainError, InvalidInputError, TableParseError
-from matlife.linalg import PRODUCTS_COND_LIMIT
 from matlife.mortality import NM_FATOL, NM_XATOL, LifeTable
 from matlife.phasetype import (
+    PRODUCTS_COND_LIMIT,
     SURVIVAL_FLOOR,
+    CoxianSpec,
     Evaluation,
     PHRepresentation,
     Spectrum,
@@ -289,6 +290,35 @@ def without_spectrum(rep):
     twin = PHRepresentation(rep.pi, rep.T)
     twin.__dict__["_spectrum"] = None  # fills the cached eigen-factors
     return twin
+
+
+def erlang(p, rate=1.0):
+    """Erlang chain of order ``p`` (unit rate by default); its eigenvector
+    matrix is singular to working precision, and exactly singular from
+    ``p = 21`` on."""
+    return PHRepresentation(np.eye(p)[0], rate * (np.eye(p, k=1) - np.eye(p)))
+
+
+#: rate gaps of the stacked-route sweeps, from near-equal to equal rates
+SWEEP_GAPS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 0.0)
+
+
+def stacked_route_sweep(max_order):
+    """Representations of order at most ``max_order``, all without
+    eigen-factors (:func:`without_spectrum`): for each order from 2 a
+    Coxian chain at two of :data:`SWEEP_GAPS` between consecutive rates
+    (the orders take the gaps in turn), the Erlang chains of order 2, 4, 6
+    and 10, and two general ``T`` of order 3 and 4."""
+    reps = []
+    for p in range(2, max_order + 1):
+        for gap in (SWEEP_GAPS[2 * p % 6], SWEEP_GAPS[(2 * p + 1) % 6]):
+            reps.append(CoxianSpec(1.0 + gap * np.arange(p), np.full(p - 1, 0.7)
+                                   ).to_representation())
+    reps += [erlang(p) for p in (2, 4, 6, 10) if p <= max_order]
+    rng = np.random.default_rng(3)
+    reps += [random_representation(rng, p) for p in (3, 4)]
+    return [without_spectrum(rep) for rep in reps]
+
 
 def spectrum_by_fresh_eig(rep):
     """``rep._spectrum`` from a decomposition of its own: a fresh

@@ -20,9 +20,9 @@ from matlife.diagnostics import (
     information_criteria,
     run_study,
 )
-from matlife.em import CensoredSample, EMConfig, StructureSpec, e_step, fit_ph
+from matlife.em import (CensoredSample, EMConfig, StructureSpec, _van_loan, e_step,
+                        fit_ph)
 from matlife.inhomogeneity import make_transform
-from matlife.linalg import expm_and_conv
 from matlife.mortality import (
     DirectFitConfig,
     MortalityCurve,
@@ -137,7 +137,7 @@ def test_criterion_04_estep_against_simulation():
             ok = ok and np.all(np.abs(g - mu) <= 3.0 * s + 1e-3)
     t = random_representation(rng, 3).T
     b = rng.normal(size=(3, 3))
-    conv = expm_and_conv(t, b, np.asarray([0.9]))[1][0]
+    conv = _van_loan(t, b, np.asarray([0.9]))[1][0]
     ref = simpson_conv(t, b, 0.9)
     conv_err = np.max(np.abs(conv - ref))
     report(ok and conv_err < 1e-8,

@@ -812,24 +812,30 @@ codes = [
     cli.main(["fit-mortality", table, "--em-iters", "5", "--max-evals", "60",
               "--restarts", "1", "--seed", "3", "--out-dir", out + "/mort"]),
 ]
+from matlife.em import CensoredSample, e_step
 from matlife.inhomogeneity import GompertzTransform, WeibullTransform
-from matlife.phasetype import IPHModel, PHRepresentation
+from matlife.phasetype import IPHModel, PHRepresentation, ph_products
 for rep in (PHRepresentation([0.5, 0.5], [[-1.0, 0.5], [0.0, -0.02]]),
             PHRepresentation([1.0, 0.0], [[-2.0, 2.0], [0.0, -2.0]])):
     IPHModel(rep, GompertzTransform(0.5)).mean()
     IPHModel(rep, GompertzTransform(0.5)).green_matrix()
     IPHModel(rep, WeibullTransform(1.5)).mean()
+assert rep._spectrum is None
+ph_products(rep, [0.1, 1.0, 40.0])
+e_step(rep, CensoredSample([0.3, 1.2, 2.5], [1, 0, 1], [1.0, 1.0, 2.0]))
+IPHModel(rep).residual_lifetime(0.8)
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 print(codes, loaded)
 """
 
 
 def test_cli_workflow_leaves_stats_and_optimize_unloaded(tmp_path):
-    # no command loads a scipy module on a well-conditioned model: the
-    # direct fit runs the in-house Nelder-Mead, and the seed keeps every
-    # fit-mortality iterate on the spectral route, away from scipy's expm;
-    # the Gompertz and Weibull means and Green matrix load none either, on
-    # the eigen-factors or, for an Erlang chain, on the contour
+    # no command loads a scipy module: the direct fit runs the in-house
+    # Nelder-Mead, and the package's own matrix exponential serves the
+    # products, the E-step and the residual lifetime of an Erlang chain,
+    # which lacks eigen-factors; the Gompertz and Weibull means and Green
+    # matrix load none either, on the eigen-factors or, for an Erlang
+    # chain, on the contour
     data = write_sample_csv(tmp_path / "s.csv")
     table = write_rates_table(tmp_path / "t.txt", range(60, 70), range(1990, 1994),
                               lambda a, y: 1e-4 * np.exp(0.09 * a - 0.01 * (y - 1990)))

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 import matlife.em as em
 from matlife.em import (
@@ -29,9 +30,8 @@ from matlife.exceptions import (
     DegenerateObservationError,
     InvalidInputError,
 )
-from matlife.linalg import PRODUCTS_COND_LIMIT, mexp
 from matlife.mortality import free_parameter_count
-from matlife.phasetype import IPHModel, PHRepresentation
+from matlife.phasetype import PRODUCTS_COND_LIMIT, IPHModel, PHRepresentation
 
 from helpers import (
     aggregate_by_unique,
@@ -40,6 +40,7 @@ from helpers import (
     mp_e_step,
     random_representation,
     rotating_representation,
+    stacked_route_sweep,
     unfolded_divided_differences,
     without_spectrum,
 )
@@ -49,11 +50,11 @@ def quad_conditional_stats(rep, z, observed):
     """Per-entry quadrature oracle for the single-observation E-step."""
     p = rep.p
     vec = rep.exit_rates if observed else np.ones(p)
-    ez = mexp(rep.T * z)
+    ez = expm(rep.T * z)
     denom = rep.pi @ ez @ vec
     b = rep.pi * (ez @ vec) / denom
-    front = lambda u: rep.pi @ mexp(rep.T * u)
-    back = lambda u: mexp(rep.T * (z - u)) @ vec
+    front = lambda u: rep.pi @ expm(rep.T * u)
+    back = lambda u: expm(rep.T * (z - u)) @ vec
     v = np.empty(p)
     njump = np.zeros((p, p))
     for k in range(p):
@@ -524,7 +525,7 @@ def oracle_error(rep):
 
 
 class TestEStepOracle:
-    """The spectral E-step against :func:`helpers.mp_e_step`."""
+    """The E-step of either route against :func:`helpers.mp_e_step`."""
 
     def test_complex_pair(self):
         t = np.array([[-2.0, 1.5, 0.0], [0.0, -2.0, 1.5], [1.5, 0.0, -2.0]])
@@ -550,6 +551,19 @@ class TestEStepOracle:
         z, w, groups = em._by_group(rep._spectrum, agg, rep.exit_rates)
         assert em._eigen_sums(rep._spectrum, z, w, groups, agg).by_row.any()
         assert oracle_error(rep) <= before
+
+    def test_van_loan_route_against_mpmath(self):
+        # both groups, times from 1e-4 to 200, on near-equal, equal and
+        # general rates; the Van Loan blocks of a representation without
+        # eigen-factors have nonnegative off-diagonal entries, so no digit
+        # cancels
+        sample = CensoredSample([1e-4, 1e-2, 0.5, 0.5, 5.0, 30.0, 200.0],
+                                [1, 0, 1, 0, 1, 0, 1], np.linspace(0.5, 2.0, 7))
+        for rep in stacked_route_sweep(4):
+            got, want = e_step(rep, sample), mp_e_step(rep, sample)
+            for g, w in zip(got[:4], want[:4]):
+                assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+            assert abs(got.loglik - want.loglik) <= 1e-13 * abs(want.loglik)
 
     def test_oracle_size_is_bounded(self):
         with pytest.raises(ValueError):

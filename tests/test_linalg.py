@@ -1,53 +1,76 @@
 """Tests for the matrix kernels against independent reference routes."""
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad_vec
+from scipy.linalg import expm
 
-from matlife.exceptions import InvalidInputError
-from matlife.linalg import expm_and_conv, mexp
-from matlife.phasetype import PHRepresentation, _exp_e1, _matrix_fn
+from matlife.em import _van_loan
+from matlife.phasetype import PHRepresentation, _exp_e1, _expm, _matrix_fn
 
 from helpers import (random_sub_intensity, simpson_conv, taylor_expm,
                      taylor_expm_stack, without_spectrum)
 
 
+def metzler(rng, p, scale=1.5):
+    """A matrix with nonnegative off-diagonal entries and a signed diagonal."""
+    a = rng.uniform(0.0, scale, (p, p))
+    np.fill_diagonal(a, rng.normal(scale=scale, size=p))
+    return a
+
+
 class TestMexp:
+    """The nonnegative-series exponential :func:`matlife.phasetype._expm`."""
+
     def test_matches_taylor_oracle(self):
         rng = np.random.default_rng(42)
         for p in (1, 2, 3, 5, 6):
             for _ in range(4):
-                a = rng.normal(scale=1.5, size=(p, p))
-                expected = taylor_expm(a)
-                assert_allclose(mexp(a), expected, rtol=1e-12, atol=1e-14)
+                a = metzler(rng, p)
+                got = _expm(a[None])[0]
+                assert_allclose(got, taylor_expm(a), rtol=1e-12, atol=1e-14)
+                assert_allclose(got, expm(a), rtol=1e-12, atol=1e-14)
 
     def test_nilpotent_exact(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert_allclose(mexp(a), np.array([[1.0, 1.0], [0.0, 1.0]]), rtol=0, atol=0)
+        assert_allclose(_expm(a[None])[0], np.array([[1.0, 1.0], [0.0, 1.0]]),
+                        rtol=0, atol=0)
 
     def test_diagonal(self):
         d = np.array([-3.0, -1.0, 2.0])
-        assert_allclose(mexp(np.diag(d)), np.diag(np.exp(d)), rtol=1e-14)
+        assert_allclose(_expm(np.diag(d)[None])[0], np.diag(np.exp(d)), rtol=1e-14)
 
     def test_zero_matrix(self):
-        assert_allclose(mexp(np.zeros((3, 3))), np.eye(3), rtol=0, atol=0)
+        assert_allclose(_expm(np.zeros((1, 3, 3)))[0], np.eye(3), rtol=0, atol=0)
 
     def test_stacked_matches_loop(self):
         rng = np.random.default_rng(0)
-        stack = rng.normal(size=(7, 4, 4))
-        looped = np.stack([mexp(stack[i]) for i in range(7)])
-        assert_allclose(mexp(stack), looped, rtol=1e-13)
+        stack = np.stack([metzler(rng, 4, 1.0) for _ in range(7)])
+        looped = np.stack([_expm(m[None])[0] for m in stack])
+        assert_allclose(_expm(stack), looped, rtol=1e-13)
+        assert_allclose(_expm(stack), expm(stack), rtol=1e-13)
 
-    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.array([[np.nan, 0], [0, 0]])])
-    def test_invalid_input(self, bad):
-        with pytest.raises(InvalidInputError):
-            mexp(bad)
+    def test_chain_corner_is_relatively_accurate(self):
+        # the exit corner of an Erlang-10 chain at a small time, about
+        # (rz)^9 / 9!, first appears in the ninth Taylor term; every entry
+        # matches the 50-digit exponential to a few roundings
+        import mpmath
+
+        t = 2.0 * (np.eye(10, k=1) - np.eye(10))
+        for z in (1e-4, 1e-3, 1e-2, 3.0):
+            with mpmath.workdps(50):
+                want = np.array(mpmath.expm(mpmath.matrix((t * z).tolist())).tolist(),
+                                dtype=float)
+            got = _expm((t * z)[None])[0]
+            nonzero = want != 0
+            assert np.array_equal(got != 0, nonzero)
+            assert np.all(np.abs(got - want)[nonzero] <= 1e-14 * want[nonzero])
 
 
 def conv_at(t, b, z):
-    """Convolution block of :func:`expm_and_conv` at one upper limit."""
-    return expm_and_conv(t, b, np.asarray([z], dtype=float))[1][0]
+    """Convolution block of the E-step's :func:`~matlife.em._van_loan` at
+    one upper limit."""
+    return _van_loan(t, b, np.asarray([z], dtype=float))[1][0]
 
 
 class TestConvIntegral:
@@ -75,7 +98,7 @@ class TestConvIntegral:
         rng = np.random.default_rng(3)
         t = random_sub_intensity(rng, 4)
         z = 1.7
-        assert_allclose(conv_at(t, np.eye(4), z), z * mexp(t * z), rtol=1e-12)
+        assert_allclose(conv_at(t, np.eye(4), z), z * expm(t * z), rtol=1e-12)
 
     def test_zero_upper_limit(self):
         t = np.array([[-1.0]])
@@ -86,14 +109,10 @@ class TestConvIntegral:
         t = random_sub_intensity(rng, 2)
         b = rng.uniform(0.0, 1.0, (2, 2))
         zs = np.array([0.1, 0.9, 3.0])
-        ez, conv = expm_and_conv(t, b, zs)
+        ez, conv = _van_loan(t, b, zs)
         for i, z in enumerate(zs):
             assert_allclose(conv[i], conv_at(t, b, z), rtol=1e-13)
-            assert_allclose(ez[i], mexp(t * z), rtol=1e-13)
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(InvalidInputError):
-            conv_at(np.array([[-1.0]]), np.eye(1), -0.5)
+            assert_allclose(ez[i], expm(t * z), rtol=1e-13)
 
 
 class TestMatrixFunction:
@@ -102,10 +121,10 @@ class TestMatrixFunction:
         # lies in the right half-plane; _matrix_fn gives exp(A) E1(A)
         rng = np.random.default_rng(13)
         t = random_sub_intensity(rng, 3)
-        expected, err = quad_vec(lambda u: mexp(t * u) / u, 1.0, np.inf,
+        expected, err = quad_vec(lambda u: expm(t * u) / u, 1.0, np.inf,
                                  epsabs=1e-14, epsrel=1e-12)
         assert err < 1e-10
         rep = PHRepresentation(np.eye(3)[0], t)
         for route in (rep, without_spectrum(rep)):
-            got = mexp(t) @ _matrix_fn(route, _exp_e1, 1.0)
+            got = expm(t) @ _matrix_fn(route, _exp_e1, 1.0)
             assert_allclose(got, expected, rtol=1e-9, atol=1e-12)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.stats import kstest
 
 from matlife.exceptions import DomainError, InvalidInputError
@@ -20,8 +21,8 @@ from matlife.inhomogeneity import (
     WeibullTransform,
     make_transform,
 )
-from matlife.linalg import PRODUCTS_COND_LIMIT, mexp
 from matlife.phasetype import (
+    PRODUCTS_COND_LIMIT,
     CoxianSpec,
     IPHModel,
     PHRepresentation,
@@ -39,6 +40,7 @@ from matlife.phasetype import (
 )
 
 from helpers import (
+    erlang,
     evaluate_by_fresh_eig,
     mp_mean,
     mp_products,
@@ -46,6 +48,7 @@ from helpers import (
     random_sub_intensity,
     rotating_representation,
     spectrum_by_fresh_eig,
+    stacked_route_sweep,
     taylor_expm,
     unfolded_products,
     without_spectrum,
@@ -348,7 +351,7 @@ class TestMoments:
         ginv = lambda s: min(np.expm1(beta * min(s, 500.0)) / beta, 1e12)
         for i in range(2):
             for j in range(2):
-                val, err = quad(lambda s: mexp(rep.T * ginv(s))[i, j], 0.0, np.inf,
+                val, err = quad(lambda s: expm(rep.T * ginv(s))[i, j], 0.0, np.inf,
                                 limit=400)
                 assert_allclose(u[i, j], val, rtol=1e-7, atol=1e-9)
 
@@ -475,6 +478,15 @@ class TestMatrixFunctions:
         with pytest.raises(DomainError, match="cut"):
             model.green_matrix()
 
+    @pytest.mark.parametrize("route", [lambda rep: rep, without_spectrum],
+                             ids=["eigen-factors", "contour"])
+    def test_overflowing_scale_raises(self, route):
+        # -T / beta overflows; under the suite's warning filter a numpy
+        # overflow warning would reach the caller instead of the typed error
+        rep = route(PHRepresentation([1.0], [[-1e300]]))
+        with pytest.raises(DomainError, match="overflow"):
+            IPHModel(rep, GompertzTransform(1e-300)).mean()
+
     @given(case=mean_cases(), beta=st.integers(-600, 0).map(lambda k: 10.0 ** (k / 100)),
            theta=st.floats(0.5, 3.0))
     @example(case=GOMPERTZ_REPRODUCTIONS[0][:2], beta=GOMPERTZ_REPRODUCTIONS[0][2], theta=1.5)
@@ -545,7 +557,7 @@ class TestResidualLifetime:
         model = IPHModel(rep)
         cond = model.residual_lifetime(0.7)
         assert cond.transform.family == "identity"
-        w = rep.pi @ mexp(rep.T * 0.7)
+        w = rep.pi @ expm(rep.T * 0.7)
         w = w / w.sum()
         assert_allclose(cond.mean(),
                         float(w @ np.linalg.inv(-rep.T) @ np.ones(3)),
@@ -584,13 +596,6 @@ class TestTail:
         y_far = model.transform.inverse_cumulative(z_far)
         ratio = model.hazard(y_far) / model.transform.intensity(y_far)
         assert_allclose(ratio, c, rtol=1e-6)
-
-
-def erlang(p, rate=1.0):
-    """Erlang chain of order ``p`` (unit rate by default); its eigenvector
-    matrix is singular to working precision, and exactly singular from
-    ``p = 21`` on."""
-    return PHRepresentation(np.eye(p)[0], rate * (np.eye(p, k=1) - np.eye(p)))
 
 
 class TestOneDecomposition:
@@ -774,9 +779,9 @@ class TestProducts:
 
     #: largest relative error of either product against the 50-digit
     #: reference over the sweep below, rounded up: 8.96e-12 on the spectral
-    #: route (order 2, gap 1e-5) and 7.51e-8 on the stacked one (order 2,
-    #: gap 1e-10)
-    MP_BOUND = {True: 9.0e-12, False: 7.6e-8}
+    #: route (order 2, gap 1e-5) and 5.32e-15 on the stacked one (order 3,
+    #: gap 1e-9)
+    MP_BOUND = {True: 9.0e-12, False: 5.4e-15}
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_near_equal_coxian_rates_against_mpmath(self, p):
@@ -787,6 +792,25 @@ class TestProducts:
             bound = self.MP_BOUND[rep._spectrum is not None]
             for got, want in zip(ph_products(rep, z), mp_products(rep.pi, rep.T, z)):
                 assert np.all(np.abs(got - want) <= bound * want)
+
+    #: points of the stacked-route sweep, from near the origin, where an
+    #: Erlang-10 density is about z^9 / 9!, into the far tail
+    SWEEP_Z = np.array([1e-4, 1e-2, 0.5, 5.0, 30.0, 200.0])
+
+    def test_stacked_route_against_mpmath(self):
+        for rep in stacked_route_sweep(10):
+            got = ph_products(rep, self.SWEEP_Z)
+            for g, want in zip(got, mp_products(rep.pi, rep.T, self.SWEEP_Z)):
+                assert np.all(np.abs(g - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("z", [1e-4, 1e-3, 1e-2])
+    def test_stacked_route_erlang_density_at_one_small_point(self, z):
+        # the density is about z^9 / 9!, from the exponential's exit corner,
+        # which first appears in the ninth Taylor term: a series with terms
+        # of both signs loses it to cancellation
+        rep = without_spectrum(erlang(10))
+        for got, want in zip(ph_products(rep, [z]), mp_products(rep.pi, rep.T, [z])):
+            assert abs(got[0] - want[0]) <= 1e-12 * want[0]
 
     def test_limit_is_crossed_by_the_sweep(self):
         stacked = {self.near_equal_coxian(gap)._spectrum is None
