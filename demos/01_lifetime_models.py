@@ -51,10 +51,12 @@ print("mean via simulation:",
       plain.sample(200_000, np.random.default_rng(1)).mean().round(4))
 
 # A Gompertz clock multiplies the hazard by exp(beta t) in operational
-# time; the model stays closed form.
+# time; the model stays closed form.  Its mean and its life expectancy at
+# age 1 integrate the survival function by one quadrature.
 aging = IPHModel(rep, make_transform("gompertz", 4.0))
 print("\nGompertz clock, beta = 4:")
 print("  mean:", aging.mean())
+print("  life expectancy at age 1:", aging.residual_lifetime(1.0).mean())
 print("  hazard at t = 0.5, 1.0, 1.5:",
       np.array_str(aging.evaluate([0.5, 1.0, 1.5]).hazard, precision=4))
 

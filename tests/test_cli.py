@@ -815,12 +815,15 @@ codes = [
 from matlife.em import CensoredSample, e_step
 from matlife.inhomogeneity import GompertzTransform, WeibullTransform
 from matlife.phasetype import IPHModel, PHRepresentation, ph_products
+from matlife.regression import PIModel
 for rep in (PHRepresentation([0.5, 0.5], [[-1.0, 0.5], [0.0, -0.02]]),
             PHRepresentation([1.0, 0.0], [[-2.0, 2.0], [0.0, -2.0]])):
     IPHModel(rep, GompertzTransform(0.5)).mean()
     IPHModel(rep, GompertzTransform(0.5)).green_matrix()
+    IPHModel(rep, GompertzTransform(0.5)).residual_lifetime(0.5).mean()
     IPHModel(rep, WeibullTransform(1.5)).mean()
 assert rep._spectrum is None
+PIModel(rep, "gompertz", [0.3], [0.1]).conditional_model([1.0]).mean()
 ph_products(rep, [0.1, 1.0, 40.0])
 e_step(rep, CensoredSample([0.3, 1.2, 2.5], [1, 0, 1], [1.0, 1.0, 2.0]))
 IPHModel(rep).residual_lifetime(0.8)
@@ -833,16 +836,18 @@ def test_cli_workflow_leaves_stats_and_optimize_unloaded(tmp_path):
     # no command loads a scipy module: the direct fit runs the in-house
     # Nelder-Mead, and the package's own matrix exponential serves the
     # products, the E-step and the residual lifetime of an Erlang chain,
-    # which lacks eigen-factors; the Gompertz and Weibull means and Green
-    # matrix load none either, on the eigen-factors or, for an Erlang
-    # chain, on the contour
+    # which lacks eigen-factors; the Gompertz and Weibull means, Green
+    # matrix and life expectancy and a regression model's conditional mean
+    # load none either, on the eigen-factors or, for an Erlang chain, on one
+    # stack of exponentials, and none of them warns
     data = write_sample_csv(tmp_path / "s.csv")
     table = write_rates_table(tmp_path / "t.txt", range(60, 70), range(1990, 1994),
                               lambda a, y: 1e-4 * np.exp(0.09 * a - 0.01 * (y - 1990)))
     src = str(pathlib.Path(matlife.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START_CHILD, str(tmp_path), str(data), str(table)],
+        [sys.executable, "-W", "error", "-c", _COLD_START_CHILD, str(tmp_path), str(data),
+         str(table)],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

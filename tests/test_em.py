@@ -565,6 +565,21 @@ class TestEStepOracle:
                 assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
             assert abs(got.loglik - want.loglik) <= 1e-13 * abs(want.loglik)
 
+    def test_van_loan_route_mixes_far_apart_times(self):
+        # z = 0.5 beside 1e4 and 1e8 in one stack of Van Loan blocks, each
+        # scaled by its own power of two: the statistics are the sums of the
+        # rows' one-row calls and stay within the bound of the sweep above
+        t = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1e-7]]
+        rep = PHRepresentation([0.6, 0.3, 0.1], t)
+        assert rep._spectrum is None
+        z, delta, w = [0.5, 1e4, 1e8], [1, 0, 1], [1.0, 2.0, 0.5]
+        mixed = e_step(rep, CensoredSample(z, delta, w))
+        rows = [e_step(rep, CensoredSample([r], [d], [v])) for r, d, v in zip(z, delta, w)]
+        for k in range(5):
+            assert_allclose(mixed[k], sum(row[k] for row in rows), rtol=1e-14, atol=0)
+        for g, want in zip(mixed[:4], mp_e_step(rep, CensoredSample(z, delta, w))[:4]):
+            assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_oracle_size_is_bounded(self):
         with pytest.raises(ValueError):
             mp_e_step(random_representation(np.random.default_rng(0), 5),

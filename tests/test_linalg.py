@@ -6,7 +6,8 @@ from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
 from matlife.em import _van_loan
-from matlife.phasetype import PHRepresentation, _exp_e1, _expm, _matrix_fn
+from matlife.inhomogeneity import GompertzTransform
+from matlife.phasetype import IPHModel, PHRepresentation, _expm
 
 from helpers import (random_sub_intensity, simpson_conv, taylor_expm,
                      taylor_expm_stack, without_spectrum)
@@ -118,7 +119,9 @@ class TestConvIntegral:
 class TestMatrixFunction:
     def test_exp1_matches_mexp_quadrature(self):
         # E1(A) = integral_1^inf expm(-A u) / u du for A = -T, whose spectrum
-        # lies in the right half-plane; _matrix_fn gives exp(A) E1(A)
+        # lies in the right half-plane; the Green matrix of the Gompertz
+        # clock with beta = 1, integral_0^inf expm(T u) / (1 + u) du, is
+        # exp(A) E1(A)
         rng = np.random.default_rng(13)
         t = random_sub_intensity(rng, 3)
         expected, err = quad_vec(lambda u: expm(t * u) / u, 1.0, np.inf,
@@ -126,5 +129,5 @@ class TestMatrixFunction:
         assert err < 1e-10
         rep = PHRepresentation(np.eye(3)[0], t)
         for route in (rep, without_spectrum(rep)):
-            got = expm(t) @ _matrix_fn(route, _exp_e1, 1.0)
+            got = expm(t) @ IPHModel(route, GompertzTransform(1.0)).green_matrix()
             assert_allclose(got, expected, rtol=1e-9, atol=1e-12)

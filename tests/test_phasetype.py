@@ -27,9 +27,7 @@ from matlife.phasetype import (
     IPHModel,
     PHRepresentation,
     _conjugate_pairs,
-    _exp_e1,
     _folded_exp,
-    _matrix_fn,
     _products,
     _unfolded,
     coxian_density,
@@ -44,6 +42,7 @@ from helpers import (
     evaluate_by_fresh_eig,
     mp_mean,
     mp_products,
+    mp_survival_integral,
     random_representation,
     random_sub_intensity,
     rotating_representation,
@@ -356,9 +355,15 @@ class TestMoments:
                 assert_allclose(u[i, j], val, rtol=1e-7, atol=1e-9)
 
     def test_unsupported_family_raises(self):
-        model = IPHModel(PHRepresentation([1.0], [[-1.0]]), WeibullTransform(2.0))
-        with pytest.raises(NotImplementedError):
-            model.green_matrix()
+        # the Weibull Green matrix is Gamma(1 + 1/theta) (-T)^(-1/theta)
+        import mpmath
+
+        t = random_sub_intensity(np.random.default_rng(3), 3)
+        model = IPHModel(PHRepresentation(np.eye(3)[0], t), WeibullTransform(2.0))
+        with mpmath.workdps(30):
+            want = mpmath.gamma(1.5) * mpmath.powm(-mpmath.matrix(t.tolist()), -0.5)
+            want = np.array(want.apply(mpmath.re).tolist(), dtype=float)
+        assert_allclose(model.green_matrix(), want, rtol=1e-13)
 
 
 @st.composite
@@ -381,31 +386,14 @@ GOMPERTZ_REPRODUCTIONS = [
 
 
 class TestMatrixFunctions:
-    """The Weibull and Gompertz means and Green matrices, evaluated on the
-    representation's own decomposition, against 30-digit mpmath."""
-
-    def test_exp_e1_against_mpmath(self):
-        import mpmath
-
-        radii = np.geomspace(1e-12, 1e8, 41)
-        angles = np.linspace(-1.0, 1.0, 21) * (np.pi / 2) * (1 - 1e-4)
-        x = np.multiply.outer(radii, np.exp(1j * angles)).ravel()
-        with mpmath.workdps(30):
-            want = np.array([complex(mpmath.exp(v) * mpmath.e1(v))
-                             for v in map(mpmath.mpc, x.tolist())])
-        assert np.max(np.abs(_exp_e1(x) - want) / np.abs(want)) < 1e-14
+    """The Weibull and Gompertz means and Green matrices, by the quadrature
+    of :meth:`IPHModel.green_matrix` with or without eigen-factors, against
+    30-digit mpmath."""
 
     def test_weibull_unit_shape_is_the_plain_mean(self):
         rep = random_representation(np.random.default_rng(5), 4)
         assert_allclose(IPHModel(rep, WeibullTransform(1.0)).mean(),
                         IPHModel(rep).mean(), rtol=1e-12)
-
-    @pytest.mark.parametrize("route", [lambda rep: rep, without_spectrum],
-                             ids=["spectral", "contour"])
-    def test_square_root_squares_back(self, route):
-        t = random_sub_intensity(np.random.default_rng(9), 4)
-        root = _matrix_fn(route(PHRepresentation(np.eye(4)[0], t)), np.sqrt, 1.0)
-        assert_allclose(root @ root, -t, rtol=1e-9)
 
     @pytest.mark.parametrize("pi,t,beta", GOMPERTZ_REPRODUCTIONS, ids=["first", "second"])
     def test_gompertz_reproductions(self, pi, t, beta):
@@ -415,7 +403,8 @@ class TestMatrixFunctions:
     @pytest.mark.parametrize("p,pairs", [(3, 1), (5, 1), (6, 2)])
     @pytest.mark.parametrize("transform", [GompertzTransform(0.05),
                                            WeibullTransform(0.6),
-                                           WeibullTransform(2.5)], ids=repr)
+                                           WeibullTransform(2.5),
+                                           WeibullTransform(12.0)], ids=repr)
     def test_complex_pairs_against_mpmath(self, p, pairs, transform):
         model = IPHModel(rotating_representation(p, pairs), transform)
         assert model.rep._spectrum.pairs.size == pairs
@@ -428,11 +417,11 @@ class TestMatrixFunctions:
         (4, 3.0, WeibullTransform(2.0)),
         (8, 3.0, GompertzTransform(1.0)),
         (10, 3.0, WeibullTransform(0.7)),
+        (4, 3.0, WeibullTransform(12.0)),
     ], ids=repr)
     def test_defective_erlang_on_the_contour(self, p, rate, transform):
-        # coinciding eigenvalues: a radius of half the distance to the cut
-        # keeps the rounding of their pole of order p small (a radius of
-        # 0.03 of it was 3e-7 off at p = 8 and 7e-5 at p = 10)
+        # coinciding eigenvalues leave no eigen-factors: the quadrature
+        # sums one stack of exponentials
         model = IPHModel(erlang(p, rate), transform)
         assert model.rep._spectrum is None
         assert_allclose(model.mean(), mp_mean(model), rtol=1e-12)
@@ -446,46 +435,90 @@ class TestMatrixFunctions:
     @pytest.mark.parametrize("transform", [GompertzTransform(0.05), WeibullTransform(1.5)],
                              ids=repr)
     def test_ill_conditioned_spread_spectrum_raises(self, transform):
-        # cond(V) = 2.4e7 leaves the eigen-factors, and the circle about
-        # eigenvalues 1, 1 and 0.01 nearly meets the cut: its rule is off by
-        # 0.25 and more, and it changes that much on every second node
+        # cond(V) = 2.4e7 leaves the eigen-factors, and the eigenvalues 1, 1
+        # and 0.01 spread over two decades: a circle about them would nearly
+        # meet the branch cut (-inf, 0] of E1 and of the Weibull power
         t = [[-1.0, 1.0, 0.0], [0.0, -1.0 - 1e-7, 0.5], [0.0, 0.0, -0.01]]
         model = IPHModel(PHRepresentation([0.5, 0.3, 0.2], t), transform)
         assert model.rep._spectrum is None
-        with pytest.raises(DomainError, match="unresolved"):
-            model.mean()
+        assert_allclose(model.mean(), mp_mean(model, dps=50), rtol=1e-14)
 
-    @pytest.mark.parametrize("slow,unresolved", [(0.11, False), (0.06, True)])
-    def test_contour_resolves_or_raises(self, slow, unresolved):
-        # a Jordan pair at 1 and a rate ``slow``: the spread is 0.84 and
-        # 0.91 of the distance to the cut, where the 512-node rule and the
-        # rule on every second node differ by 4e-10 and 1e-5
+    @pytest.mark.parametrize("slow,near_cut", [(0.11, False), (0.06, True)])
+    def test_contour_resolves_or_raises(self, slow, near_cut):
+        # a Jordan pair at 1 and a rate ``slow``: the spread about their
+        # mean is 0.84 and 0.91 of the mean's distance to the cut (-inf, 0]
         t = np.diag([-1.0, -1.0 - 1e-9, -slow]) + np.diag([1.0, 0.5], 1)
+        rates = -np.diag(t)
+        assert (np.abs(rates - rates.mean()).max() > 0.9 * rates.mean()) == near_cut
         model = IPHModel(PHRepresentation([0.5, 0.3, 0.2], t), WeibullTransform(1.5))
         assert model.rep._spectrum is None
-        if unresolved:
-            with pytest.raises(DomainError, match="unresolved"):
-                model.mean()
-        else:
-            assert_allclose(model.mean(), mp_mean(model, dps=50), rtol=1e-14)
+        assert_allclose(model.mean(), mp_mean(model, dps=50), rtol=1e-14)
 
     def test_contour_meeting_the_cut_raises(self):
-        # eigenvalues 0.02 (a Jordan pair) and 3 lie farther from their
-        # mean than the mean from zero
+        # eigenvalues 0.02 (an exact Jordan pair) and 3 lie farther from
+        # their mean than the mean from zero; mpmath.eig cannot split the
+        # pair, so the reference integrates the survival function
         t = [[-0.02, 0.02, 0.0], [0.0, -0.02, 0.01], [0.0, 0.0, -3.0]]
         model = IPHModel(PHRepresentation([0.5, 0.3, 0.2], t), GompertzTransform(0.5))
         assert model.rep._spectrum is None
-        with pytest.raises(DomainError, match="cut"):
-            model.green_matrix()
+        with pytest.raises(ValueError, match="repeated eigenvalue"):
+            mp_mean(model)
+        assert_allclose(model.mean(), mp_survival_integral(model), rtol=1e-14)
+
+    def test_rates_too_far_apart_raise(self):
+        # rates 2^53 apart give the mean to 4e-12, and 2^40 apart to 4e-15;
+        # one more binary order puts the slower below the rounding of the
+        # faster
+        rates = np.array([2.0**-26, 2.0**27])
+        model = IPHModel(PHRepresentation([0.5, 0.5], np.diag(-rates)))
+        assert_allclose(model.mean(), np.sum(0.5 / rates), rtol=4e-12)
+        model = IPHModel(PHRepresentation([0.5, 0.5], np.diag(-rates * [1.0, 2.0])))
+        with pytest.raises(DomainError, match="2\\^53"):
+            model.mean()
 
     @pytest.mark.parametrize("route", [lambda rep: rep, without_spectrum],
                              ids=["eigen-factors", "contour"])
     def test_overflowing_scale_raises(self, route):
-        # -T / beta overflows; under the suite's warning filter a numpy
-        # overflow warning would reach the caller instead of the typed error
+        # -T / beta overflows, and beta * u underflows: the clock is the
+        # identity on every node, and the suite's warning filter turns any
+        # numpy warning into a failure
         rep = route(PHRepresentation([1.0], [[-1e300]]))
-        with pytest.raises(DomainError, match="overflow"):
-            IPHModel(rep, GompertzTransform(1e-300)).mean()
+        assert_allclose(IPHModel(rep, GompertzTransform(1e-300)).mean(), 1e-300,
+                        rtol=1e-15)
+
+    @given(case=mean_cases(), k=st.integers(-12, 12),
+           beta=st.integers(-600, 0).map(lambda k: 10.0 ** (k / 100)),
+           theta=st.floats(0.5, 3.0))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_time_unit_scales_mean_and_green(self, case, k, beta, theta):
+        # lifetimes in a unit c times smaller: T / 2^k with c = 2^k under the
+        # identity and under a Gompertz clock with beta / c, and with
+        # c = 2^(k / theta) under a Weibull clock; without eigen-factors the
+        # nodes, the weights and T u scale exactly for the first two
+        pi, t = case[0], np.array(case[1])
+        for transform, transform_c, c in [
+                (GompertzTransform(beta), GompertzTransform(beta / 2.0**k), 2.0**k),
+                (WeibullTransform(theta), WeibullTransform(theta), 2.0 ** (k / theta)),
+                (IdentityTransform(), IdentityTransform(), 2.0**k)]:
+            for route in (lambda rep: rep, without_spectrum):
+                model = IPHModel(route(PHRepresentation(pi, t)), transform)
+                scaled = IPHModel(route(PHRepresentation(pi, t / 2.0**k)), transform_c)
+                spectrum = model.rep._spectrum
+                if spectrum is not None:
+                    # T and T / 2^k need not decompose to the same digits
+                    tol = 1e-14 * np.linalg.cond(spectrum.vecs)
+                else:
+                    tol = 1e-14 if transform.family == "weibull" else 0.0
+                green, mean = c * model.green_matrix(), c * model.mean()
+                assert np.abs(scaled.green_matrix() - green).max() <= tol * np.abs(green).max()
+                assert abs(scaled.mean() - mean) <= tol * mean
+
+    def test_stiff_spectrum(self):
+        # rates twelve decades apart: the rule centred on their geometric
+        # mean reaches both ends
+        rates = np.array([1e-6, 1.0, 1e6])
+        model = IPHModel(PHRepresentation(np.full(3, 1 / 3), np.diag(-rates)))
+        assert_allclose(model.green_matrix(), np.diag(1 / rates), rtol=1e-14, atol=0)
 
     @given(case=mean_cases(), beta=st.integers(-600, 0).map(lambda k: 10.0 ** (k / 100)),
            theta=st.floats(0.5, 3.0))
@@ -497,11 +530,6 @@ class TestMatrixFunctions:
         rep = PHRepresentation(*case)
         for transform in (GompertzTransform(beta), WeibullTransform(theta)):
             model = IPHModel(rep, transform)
-            if rep._spectrum is None:
-                try:
-                    model.mean()
-                except DomainError:
-                    continue
             assert_allclose(model.mean(), mp_mean(model), rtol=1e-10)
 
 
@@ -543,6 +571,18 @@ class TestResidualLifetime:
         assert_allclose(model.residual_lifetime(x).rep.pi, w / w.sum(),
                         rtol=1e-12)
 
+    @pytest.mark.parametrize("route", [lambda rep: rep, without_spectrum],
+                             ids=["eigen-factors", "stacked"])
+    @pytest.mark.parametrize("transform", [GompertzTransform(1.3), WeibullTransform(1.7)],
+                             ids=repr)
+    def test_life_expectancy_against_mpmath(self, route, transform):
+        rep = random_representation(np.random.default_rng(2), 3)
+        model = IPHModel(route(rep), transform)
+        for x in (0.5, 2.0):
+            cond = model.residual_lifetime(x)
+            cond = IPHModel(route(cond.rep), cond.transform)
+            assert_allclose(cond.mean(), mp_survival_integral(model, x), rtol=1e-12)
+
     def test_zero_age_is_unchanged(self):
         model = IPHModel(PHRepresentation([0.5, 0.5], np.diag([-1.0, -2.0])))
         cond = model.residual_lifetime(0.0)
@@ -551,7 +591,8 @@ class TestResidualLifetime:
 
     def test_plain_clock_stays_plain(self):
         # shifting a memoryless clock is a no-op, so the residual model
-        # keeps the identity family and its closed-form mean
+        # keeps the identity family and stays a plain model that saves to a
+        # file
         rng = np.random.default_rng(11)
         rep = random_representation(rng, 3)
         model = IPHModel(rep)
@@ -802,6 +843,21 @@ class TestProducts:
             got = ph_products(rep, self.SWEEP_Z)
             for g, want in zip(got, mp_products(rep.pi, rep.T, self.SWEEP_Z)):
                 assert np.all(np.abs(g - want) <= 1e-12 * want)
+
+    def test_stacked_route_mixes_far_apart_times(self):
+        # a Jordan pair at 1 leaves no eigen-factors, and the slow last state
+        # keeps every product positive at z = 1e8; each exponential of the
+        # stack takes its own scaling, so the far points leave the near
+        # one's digits alone
+        t = [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1e-7]]
+        rep = PHRepresentation([0.6, 0.3, 0.1], t)
+        assert rep._spectrum is None
+        z = [0.5, 1e4, 1e8]
+        got = ph_products(rep, z)
+        for k, zk in enumerate(z):
+            assert all(np.array_equal(g[k], one[0]) for g, one in zip(got, ph_products(rep, [zk])))
+        for g, want in zip(got, mp_products(rep.pi, rep.T, z[:1])):
+            assert abs(g[0] - want[0]) <= 1e-12 * want[0]
 
     @pytest.mark.parametrize("z", [1e-4, 1e-3, 1e-2])
     def test_stacked_route_erlang_density_at_one_small_point(self, z):

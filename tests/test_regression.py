@@ -33,7 +33,7 @@ from matlife.regression import (
     transform,
 )
 
-from helpers import random_representation
+from helpers import mp_survival_integral, random_representation
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -165,6 +165,13 @@ class TestModel:
         z = transform(model, np.concatenate(draws), np.concatenate(xs)[:, None])
         stat = kstest(z, lambda v: 1.0 - base.evaluate(v).survival)
         assert stat.pvalue > 0.01
+
+
+    def test_conditional_mean_against_mpmath(self):
+        rep = random_representation(np.random.default_rng(2), 3)
+        model = PIModel(rep, "gompertz", [0.3, -0.5], [0.1, 0.2, -0.1])
+        cond = model.conditional_model([0.4, 1.2])
+        assert_allclose(cond.mean(), mp_survival_integral(cond), rtol=1e-12)
 
 
 class TestLoglik:
