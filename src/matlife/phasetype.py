@@ -366,7 +366,7 @@ def _expm(stack: np.ndarray) -> np.ndarray:
         total = new
     total *= np.exp(-np.ldexp(q, -s))[:, None, None]
     powers = s.tolist()
-    for _ in range(min(powers)):
+    for _ in range(min(powers)):  # the whole stack, without gathering it
         total = total @ total
     for j in range(min(powers), max(powers)):
         square = s > j
@@ -518,30 +518,33 @@ class IPHModel:
         return value
 
     def green_matrix(self) -> np.ndarray:
-        """Expected operational time in each state pair, integrated over age.
-
-        ``U = integral of expm(T * ginv(s)) ds`` over all ages, that is
-        ``integral of expm(T u) / lam(ginv(u)) du`` over operational time,
-        summed by :func:`_green` on the exp-sinh rule (Takahasi & Mori 1974)
-        times ``c``, the power of two nearest the reciprocal geometric mean of
-        the slowest and fastest decay rates ``eta`` (``-Re`` of the
-        eigenvalues), so that a change of time unit scales it exactly.  Nodes
-        with ``u eta_min > 2000``, where ``expm(T u)`` is zero, are dropped.
-        Starting at ``t = -6.5`` it leaves out about ``exp(-520 / theta)`` of
-        a Weibull mean.  Means were within 5e-14 of 30-digit mpmath on the
-        eigen-factors, 2e-16 without them (Erlang chains, order 3-10) and
-        4e-12 on rates 2^53 apart; wider spans raise :class:`DomainError`."""
+        """Expected operational time in each state pair, integrated over age:
+        ``U = integral of expm(T u) / lam(ginv(u)) du``, ``(-T)^-1`` under the
+        identity clock.  Any other clock's is summed by :func:`_green` on the
+        exp-sinh rule (Takahasi & Mori 1974) times the power of two nearest
+        ``1 / sqrt(eta_min eta_max)`` (``eta = -Re`` of the eigenvalues), which
+        a change of time unit scales exactly, up to ``u eta_min = 2000``.
+        Rates more than 2^53 apart, or 2^16 without eigen-factors (where
+        :func:`_expm` keeps the slow one to ``eta_max / eta_min`` ulps), raise
+        :class:`DomainError`, as does a first node holding over 1e-15 of
+        ``U`` (Weibull shapes above about 15)."""
         rep, transform = self.rep, self.transform
+        if isinstance(transform, IdentityTransform):
+            return np.linalg.inv(-rep.T)
         eta = -rep._eig[0].real
         log_eta = np.log2(eta)  # added, not multiplied: the rates' product may overflow
-        if log_eta.max() - log_eta.min() > 53:
-            raise DomainError("decay rates span more than 2^53")
+        span = 53 if rep._spectrum is not None else 16
+        if log_eta.max() - log_eta.min() > span:
+            raise DomainError(f"decay rates span more than 2^{span}")
         c = 2.0 ** -round(0.5 * (log_eta.min() + log_eta.max()))
         keep = _DE_NODES * (c * eta.min()) <= 2000.0
         u = c * _DE_NODES[keep]
         with np.errstate(divide="ignore"):  # 1 / lam vanishes where lam is infinite
             weight = c * _DE_WEIGHTS[keep] / transform.intensity(transform.inverse_cumulative(u))
-        return _green(rep, u, weight)
+        green = _green(rep, u, weight)
+        if not (np.isfinite(green).all() and weight[0] <= 1e-15 * green.diagonal().min()):
+            raise DomainError("the exp-sinh rule misses the first ages of the clock")
+        return green
 
     def loglik(self, y, delta=None, weight=None) -> float:
         """Weighted censored log-likelihood of lifetimes ``y``.
@@ -624,12 +627,9 @@ class CoxianSpec:
             if not self.generalized:
                 raise InvalidInputError("strict chain cannot carry a custom start")
             pi = _probability_vector(pi, rates.size)
-        rates.setflags(write=False)
-        cont.setflags(write=False)
-        pi.setflags(write=False)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "continuations", cont)
-        object.__setattr__(self, "pi", pi)
+        for name, arr in (("rates", rates), ("continuations", cont), ("pi", pi)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def p(self) -> int:

@@ -466,13 +466,18 @@ class TestMatrixFunctions:
         assert_allclose(model.mean(), mp_survival_integral(model), rtol=1e-14)
 
     def test_rates_too_far_apart_raise(self):
-        # rates 2^53 apart give the mean to 4e-12, and 2^40 apart to 4e-15;
-        # one more binary order puts the slower below the rounding of the
-        # faster
+        # rates 2^53 apart give the mean to 4e-12 on the eigen-factors; one
+        # more binary order puts the slower below the rounding of the
+        # faster.  A Weibull shape of one is the identity clock taken by the
+        # quadrature; the identity clock's own (-T)^-1 holds at any span
         rates = np.array([2.0**-26, 2.0**27])
-        model = IPHModel(PHRepresentation([0.5, 0.5], np.diag(-rates)))
+        wider = rates * [1.0, 2.0]
+        for r in (rates, wider):
+            plain = IPHModel(PHRepresentation([0.5, 0.5], np.diag(-r)))
+            assert_allclose(plain.mean(), np.sum(0.5 / r), rtol=1e-15)
+        model = IPHModel(PHRepresentation([0.5, 0.5], np.diag(-rates)), WeibullTransform(1.0))
         assert_allclose(model.mean(), np.sum(0.5 / rates), rtol=4e-12)
-        model = IPHModel(PHRepresentation([0.5, 0.5], np.diag(-rates * [1.0, 2.0])))
+        model = IPHModel(PHRepresentation([0.5, 0.5], np.diag(-wider)), WeibullTransform(1.0))
         with pytest.raises(DomainError, match="2\\^53"):
             model.mean()
 
@@ -513,12 +518,50 @@ class TestMatrixFunctions:
                 assert np.abs(scaled.green_matrix() - green).max() <= tol * np.abs(green).max()
                 assert abs(scaled.mean() - mean) <= tol * mean
 
-    def test_stiff_spectrum(self):
+    @pytest.mark.parametrize("route", [lambda rep: rep, without_spectrum],
+                             ids=["eigen-factors", "stacked"])
+    def test_stiff_spectrum(self, route):
         # rates twelve decades apart: the rule centred on their geometric
-        # mean reaches both ends
+        # mean reaches both ends on the eigen-factors.  Without them the
+        # exponential's shift by the fast rate would bury the slow one 2e-4
+        # deep, so any clock but the identity, whose (-T)^-1 is exact, is
+        # refused
         rates = np.array([1e-6, 1.0, 1e6])
-        model = IPHModel(PHRepresentation(np.full(3, 1 / 3), np.diag(-rates)))
-        assert_allclose(model.green_matrix(), np.diag(1 / rates), rtol=1e-14, atol=0)
+        rep = route(PHRepresentation(np.full(3, 1 / 3), np.diag(-rates)))
+        assert_allclose(IPHModel(rep).green_matrix(), np.diag(1 / rates), rtol=1e-14, atol=0)
+        model = IPHModel(rep, WeibullTransform(1.0))
+        if rep._spectrum is None:
+            with pytest.raises(DomainError, match="2\\^16"):
+                model.green_matrix()
+        else:
+            assert_allclose(model.green_matrix(), np.diag(1 / rates), rtol=1e-14, atol=0)
+
+    def test_stiff_jordan_pair_without_eigen_factors(self):
+        # a Jordan pair at 1e6 beside a rate of 1e-6 has no eigen-factors:
+        # the identity clock gets (-T)^-1 and any other clock a typed error
+        import mpmath
+
+        t = [[-1e6, 1e6, 0.0], [0.0, -1e6, 5e5], [0.0, 0.0, -1e-6]]
+        rep = PHRepresentation([0.5, 0.3, 0.2], t)
+        assert rep._spectrum is None
+        with mpmath.workdps(30):
+            want = np.array(mpmath.inverse(-mpmath.matrix(t)).tolist(), dtype=float)
+        assert_allclose(IPHModel(rep).green_matrix(), want, rtol=1e-14, atol=0)
+        for transform in (GompertzTransform(0.5), WeibullTransform(1.5)):
+            with pytest.raises(DomainError, match="2\\^16"):
+                IPHModel(rep, transform).mean()
+
+    @pytest.mark.parametrize("route", [lambda rep: rep, without_spectrum],
+                             ids=["eigen-factors", "stacked"])
+    def test_steep_weibull_clock(self, route):
+        # the rule's first node lies at u = e^-522 and the ages before it,
+        # about u^(1 / theta), are left out: 7e-16 of the mean at theta = 15,
+        # 3e-5 at theta = 50, which is refused
+        model = IPHModel(route(random_representation(np.random.default_rng(2), 3)),
+                         WeibullTransform(15.0))
+        assert_allclose(model.mean(), mp_mean(model), rtol=1e-14)
+        with pytest.raises(DomainError, match="first ages"):
+            IPHModel(model.rep, WeibullTransform(50.0)).mean()
 
     @given(case=mean_cases(), beta=st.integers(-600, 0).map(lambda k: 10.0 ** (k / 100)),
            theta=st.floats(0.5, 3.0))
