@@ -96,7 +96,7 @@ class CensoredSample:
             raise InvalidInputError("sample is empty")
         if np.any(z <= 0) or not np.all(np.isfinite(z)):
             raise InvalidInputError("observation times must be positive and finite")
-        if not np.all(np.isin(delta, (0, 1))):
+        if not ((delta == 0) | (delta == 1)).all():
             raise InvalidInputError("censoring indicators must be 0 or 1")
         if np.any(weight <= 0) or not np.all(np.isfinite(weight)):
             raise InvalidInputError("weights must be positive and finite")
@@ -477,11 +477,12 @@ def _eigen_sums(spectrum: Spectrum, z: np.ndarray, w: np.ndarray,
     and ``Im(se_i) / Im(lam_i)`` for two conjugate eigenvalues, exact
     however close they are.  Where that difference cancels, by
     :data:`_CANCEL_FACTOR` against the magnitude sums, the entry is summed
-    row by row from the unfolded ``exp`` columns as
-    ``exp(hi z) expm1((lo - hi) z) / (lo - hi)`` with ``hi`` the eigenvalue
-    of larger real part, so no factor overflows and near-equal eigenvalues
-    lose no digits; ``by_row`` marks those entries.  Exactly equal
-    eigenvalues take the diagonal sum.
+    row by row as ``exp(hi z) expm1((lo - hi) z) / (lo - hi)`` with ``hi``
+    the eigenvalue of larger real part, so no factor overflows and
+    near-equal eigenvalues lose no digits; ``by_row`` marks those entries.
+    Such an entry between the conjugates of two eigenvalues already summed
+    is the conjugate of theirs.  Exactly equal eigenvalues take the
+    diagonal sum.
     """
     lam, r = spectrum.eigvals, spectrum.start
     er, ec, factors = _folded_exp(spectrum, z, *(r * g.c for g in groups))
@@ -513,17 +514,23 @@ def _eigen_sums(spectrum: Spectrum, z: np.ndarray, w: np.ndarray,
     by_row = differ & (np.abs(diff) * _CANCEL_FACTOR
                        < mag[:, :, None] + mag[:, None, :]).any(axis=0)
     if by_row.any():
-        columns, roots = _unfolded(spectrum, er, ec), lam.tolist()
+        roots, summed = lam.tolist(), {}
         rows, cols = np.nonzero(np.triu(by_row))
         for i, j in zip(rows.tolist(), cols.tolist()):
-            hi, lo = (i, j) if roots[i].real > roots[j].real else (j, i)
-            step, col = roots[lo] - roots[hi], columns[:, hi]
-            if roots[i].imag == roots[j].imag == 0:     # two real eigenvalues
-                step, col = step.real, col.real
-            weighted = scale * col
-            growth = np.expm1(z * step)
-            dd[:, i, j] = dd[:, j, i] = np.array([weighted[g.rows] @ growth[g.rows]
-                                                  for g in groups]) / step
+            hi, lo = ((roots[i], roots[j]) if roots[i].real > roots[j].real
+                      else (roots[j], roots[i]))
+            entry = summed.get((hi.conjugate(), lo.conjugate()))
+            if entry is not None:       # the conjugate of its couple's entry
+                entry = entry.conj()
+            else:
+                step = lo - hi
+                if hi.imag == lo.imag == 0:     # two real eigenvalues
+                    step = step.real
+                weighted = scale * np.exp(z * (hi.real if hi.imag == 0 else hi))
+                growth = np.expm1(z * step)
+                entry = summed[hi, lo] = np.array(
+                    [weighted[g.rows] @ growth[g.rows] for g in groups]) / step
+            dd[:, i, j] = dd[:, j, i] = entry
     return _EigenSums(denom, se, dd, by_row)
 
 

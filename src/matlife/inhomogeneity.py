@@ -5,8 +5,8 @@ clock), its integral ``cumulative(y)`` mapping lifetime scale to operational
 scale, and the inverse map ``inverse_cumulative(z)``.  The plain families
 (exponential-rate, power, identity) are listed once, in :data:`FAMILIES`;
 two wrappers derive conditional and covariate-scaled clocks from them.  Each
-family names its parameter, if any, in ``param_name`` and gives the
-derivatives of ``cumulative`` and ``log_intensity`` with respect to its log.
+family names its parameter, if any, in ``param_name`` and gives the clock
+with its derivatives in the parameter's log in one static ``clock_terms``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,17 @@ def _positive_param(value, name: str):
 
 
 class _Family:
-    """A plain family; ``params`` and the repr follow from ``param_name``."""
+    """A plain family; ``params`` and the repr follow from ``param_name``.
+
+    Each family's static ``clock_terms(param, y, log_y)`` returns ``(G, log
+    lam, dG / dlog p, dlog lam / dlog p)`` at the points ``y``, a float
+    array with ``log_y = np.log(y)``, for the parameter ``p = param`` (a
+    valid scalar or one value per point, ``None`` without a parameter).
+    ``G`` and ``log lam`` are bitwise ``cumulative`` and ``log_intensity``
+    of the transform with that parameter, and no term warns where the
+    clock overflows.  Regression's coefficient step calls it at every trial
+    point with the logarithms of its points taken once.
+    """
 
     param_name: str | None = None
 
@@ -71,15 +81,14 @@ class GompertzTransform(_Family):
         with np.errstate(over="ignore"):
             return np.expm1(self.beta * np.asarray(y, dtype=float)) / self.beta
 
-    def cumulative_dlog_param(self, y):
-        """``d cumulative(y) / d log(beta)``, that is ``y exp(beta y) - G``."""
-        y = np.asarray(y, dtype=float)
-        with np.errstate(over="ignore"):
-            return y * np.exp(self.beta * y) - self.cumulative(y)
-
-    def log_intensity_dlog_param(self, s):
-        """``d log_intensity(s) / d log(beta)``, that is ``beta s``."""
-        return self.log_intensity(s)
+    @staticmethod
+    def clock_terms(beta, y, log_y):
+        """``G``, ``log lam``, ``y exp(beta y) - G`` and ``beta y`` at ``y``
+        (see :class:`_Family`), from one ``beta y``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            by = beta * y
+            cum = np.expm1(by) / beta
+            return cum, by, y * np.exp(by) - cum, by
 
     def inverse_cumulative(self, z):
         return np.log1p(self.beta * np.asarray(z, dtype=float)) / self.beta
@@ -109,16 +118,16 @@ class WeibullTransform(_Family):
         with np.errstate(over="ignore"):
             return np.asarray(y, dtype=float) ** self.theta
 
-    def cumulative_dlog_param(self, y):
-        """``d cumulative(y) / d log(theta)``, that is ``theta log(y) y**theta``."""
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.where(y > 0, self.theta * np.log(y) * self.cumulative(y), 0.0)
-
-    def log_intensity_dlog_param(self, s):
-        """``d log_intensity(s) / d log(theta)``, that is ``1 + theta log(s)``."""
-        with np.errstate(divide="ignore"):
-            return 1.0 + self.theta * np.log(np.asarray(s, dtype=float))
+    @staticmethod
+    def clock_terms(theta, y, log_y):
+        """``G``, ``log lam``, ``theta log(y) G`` (zero at ``y = 0``) and
+        ``1 + theta log(y)`` at ``y`` (see :class:`_Family`), from one
+        ``y**theta`` and one ``theta log(y)``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum = y ** theta
+            t_log_y = theta * log_y
+            return (cum, np.log(theta) + (theta - 1.0) * log_y,
+                    np.where(y > 0, t_log_y * cum, 0.0), 1.0 + t_log_y)
 
     def inverse_cumulative(self, z):
         return np.asarray(z, dtype=float) ** (1.0 / self.theta)
@@ -138,11 +147,12 @@ class IdentityTransform(_Family):
     def cumulative(self, y):
         return np.asarray(y, dtype=float)
 
-    def cumulative_dlog_param(self, y):
-        """Zero: the identity clock has no parameter."""
-        return np.zeros_like(np.asarray(y, dtype=float))
-
-    log_intensity_dlog_param = cumulative_dlog_param
+    @staticmethod
+    def clock_terms(param, y, log_y):
+        """``y`` and three zeros: the clock has no parameter (see
+        :class:`_Family`)."""
+        zero = np.zeros_like(y)
+        return y, zero, zero, zero
 
     def inverse_cumulative(self, z):
         return np.asarray(z, dtype=float)

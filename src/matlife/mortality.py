@@ -439,9 +439,11 @@ class _BudgetSpent(Exception):
     """An evaluation was asked for after the budget of a round ran out."""
 
 
-def _nelder_mead(objective, simplex, max_evals: int):
+def _nelder_mead(objective, simplex, max_evals: int, first_loss: float | None = None):
     """Minimize ``objective`` from the rows of ``simplex`` in at most
     ``max_evals`` evaluations; return the final vertices and losses, best first.
+    A known ``first_loss`` of the first vertex stands in for its evaluation,
+    which still counts toward ``max_evals``.
 
     This is scipy 1.17's non-adaptive, unbounded Nelder-Mead step for step:
     coefficients rho = 1, chi = 2, psi = sigma = 1/2, the same stop test on
@@ -463,8 +465,10 @@ def _nelder_mead(objective, simplex, max_evals: int):
     sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
     fsim = np.full(n + 1, np.inf)
+    if first_loss is not None:
+        evals, fsim[0] = 1, first_loss
     try:
-        for k in range(n + 1):
+        for k in range(evals, n + 1):
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
@@ -521,7 +525,9 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
     of scipy's non-adaptive Nelder-Mead: it evaluates the points scipy's
     ``minimize(method="Nelder-Mead")`` evaluates with the same simplex,
     ``maxfev``, ``xatol`` and ``fatol``, so models, losses, traces and
-    evaluation counts are bitwise those of the scipy-driven fit.
+    evaluation counts are bitwise those of the scipy-driven fit.  The first
+    vertex of each round is the round's start, whose loss is known, so it
+    is counted but not evaluated again.
     """
     config = config or DirectFitConfig()
     if config.max_evals < 1:
@@ -569,7 +575,9 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
         x_start = best["x"]
         simplex = np.vstack([x_start, x_start + SIMPLEX_STEP * np.eye(x_start.size)])
         previous = best["f"]
-        _nelder_mead(objective, simplex, config.max_evals)
+        # the first vertex is the start, whose loss is known; it still counts
+        evals[0] += 1
+        _nelder_mead(objective, simplex, config.max_evals, previous)
         if previous - best["f"] <= NM_FATOL * max(1.0, abs(previous)):
             break
 

@@ -75,7 +75,7 @@ class RegressionSample:
             raise InvalidInputError("sample is empty")
         if np.any(y <= 0) or not np.all(np.isfinite(y)):
             raise InvalidInputError("lifetimes must be positive and finite")
-        if not np.all(np.isin(delta, (0, 1))):
+        if not ((delta == 0) | (delta == 1)).all():
             raise InvalidInputError("censoring indicators must be 0 or 1")
         if not np.all(np.isfinite(x)):
             raise InvalidInputError("covariates must be finite")
@@ -211,14 +211,14 @@ def _scores(beta: np.ndarray, gamma: np.ndarray | None,
     return rate_score, None if shape_score is None else np.exp(shape_score)
 
 
-def _clock(family: str, scores, y) -> tuple[np.ndarray, np.ndarray, object]:
-    """Operational times ``z = exp(x beta) G(y; theta)``, the log-intensity
-    ``x beta + log lam(y; theta)`` of each row's clock and the transform
-    ``G``, given the rows' :func:`_scores`."""
+def _clock(family: str, scores, y) -> tuple[np.ndarray, np.ndarray]:
+    """Operational times ``z = exp(x beta) G(y; theta)`` and the
+    log-intensity ``x beta + log lam(y; theta)`` of each row's clock, given
+    the rows' :func:`_scores`."""
     rate_score, theta = scores
     clock = make_transform(family, theta)
     z = np.exp(rate_score) * clock.cumulative(y)
-    return z, rate_score + clock.log_intensity(y), clock
+    return z, rate_score + clock.log_intensity(y)
 
 
 def transform(model: PIModel, y, x) -> np.ndarray:
@@ -241,7 +241,7 @@ def pi_loglik(model: PIModel, data) -> float:
     density or survival factor vanishes or the clock overflows.
     """
     sample = RegressionSample.coerce(data)
-    z, log_lam, _ = _clock(model.family, model._scores(sample.x), sample.y)
+    z, log_lam = _clock(model.family, model._scores(sample.x), sample.y)
     return _censored_loglik(model.rep, z, sample.delta == 1, sample.weight, log_lam)
 
 
@@ -261,7 +261,9 @@ def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample
     ``z = exp(r) G(y; theta)``, an observed row contributes
     ``log f(z) + r + log lam(y; theta)`` and a censored row ``log S(z)``.  The
     representation is held fixed, so the chain rule needs only ``f'(z)``
-    besides the products and the two log-parameter derivatives of the clock.
+    besides the products and the family's ``clock_terms``, which it calls
+    with ``theta`` directly: within :data:`SCORE_LIMIT` the parameter is
+    positive and finite, so no transform is built or checked per point.
     Zero-likelihood, non-finite or overflowing parameter points score
     ``+inf`` so the line search backs away from them; the floating-point
     overflows and invalid operations met on the way there are expected and
@@ -271,23 +273,27 @@ def _fast_objective(rep: PHRepresentation, family: str, sample: RegressionSample
     x, y, w = sample.x, sample.y, sample.weight
     obs = sample.delta == 1
     w_obs = np.where(obs, w, 0.0)
+    log_y = np.log(y)
+    clock_terms = transform_family(family).clock_terms
 
     def objective(vec):
         beta, gamma = _unpack(vec, d, gamma_len)
         try:
-            scores = _scores(beta, gamma, x)
+            rate_score, theta = _scores(beta, gamma, x)
         except ScoreOverflowError:
             return np.inf, None
         with np.errstate(over="ignore", invalid="ignore"):
-            z, log_lam, clock = _clock(family, scores, y)
-            val, slope = _censored_loglik(rep, z, obs, w, log_lam, slope=True)
+            cum, log_lam, dcum, dlog_lam = clock_terms(theta, y, log_y)
+            rate = np.exp(rate_score)
+            z = rate * cum
+            val, slope = _censored_loglik(rep, z, obs, w, rate_score + log_lam,
+                                          slope=True)
             if slope is None:
                 return np.inf, None
             dz = w * slope
             grad = [(dz * z + w_obs) @ x]
             if gamma_len:
-                dshape = (dz * np.exp(scores[0]) * clock.cumulative_dlog_param(y)
-                          + w_obs * clock.log_intensity_dlog_param(y))
+                dshape = dz * rate * dcum + w_obs * dlog_lam
                 grad.append(np.concatenate([[dshape.sum()], dshape @ x])
                             if gamma_len > 1 else [dshape.sum()])
         grad = -np.concatenate(grad)
@@ -315,7 +321,7 @@ def _descend(objective, x: np.ndarray, f: float, g: np.ndarray, budget: int,
     last accepted point, its value and the final inverse Hessian (``None``
     while no curvature has been learned).
     """
-    evals = 1
+    evals, eye = 1, np.eye(x.size)
     while evals < budget and np.abs(g).max() > 1e-9:
         step = -g / np.abs(g).max() if h is None else -(h @ g)
         descent = g @ step
@@ -341,9 +347,9 @@ def _descend(objective, x: np.ndarray, f: float, g: np.ndarray, budget: int,
         sy = s @ yk
         if sy > 0:
             if h is None:
-                h = (sy / (yk @ yk)) * np.eye(x.size)
-            v = np.eye(x.size) - np.outer(s, yk) / sy
-            h = v @ h @ v.T + np.outer(s, s) / sy
+                h = (sy / (yk @ yk)) * eye
+            v = eye - s[:, None] * yk / sy
+            h = v @ h @ v.T + s[:, None] * s / sy
     return x, f, h
 
 

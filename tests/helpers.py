@@ -205,13 +205,18 @@ def load_table_by_lines(source, kind="rates", column="Female"):
                      cols["exposure"], cols["mx"], dropped)
 
 
-def scipy_nelder_mead(objective, simplex, max_evals):
+def scipy_nelder_mead(objective, simplex, max_evals, first_loss=None):
     """``mortality._nelder_mead`` by ``scipy.optimize.minimize`` (reference
-    route): the same initial simplex, evaluation budget and tolerances.
-    Returns the final simplex and its losses, best first."""
+    route): the same initial simplex, evaluation budget and tolerances, and
+    a given ``first_loss`` answering scipy's first evaluation, that of the
+    first vertex, in place of ``objective``.  Returns the final simplex and
+    its losses, best first."""
     # imported here: the benchmark loads this module and must not pay for it
     from scipy.optimize import minimize
 
+    if first_loss is not None:
+        known, evaluate = [first_loss], objective
+        objective = lambda x: known.pop() if known else evaluate(x)
     simplex = np.asarray(simplex, dtype=float)
     res = minimize(objective, simplex[0], method="Nelder-Mead",
                    options={"initial_simplex": simplex, "maxfev": max_evals,

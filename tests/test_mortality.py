@@ -860,6 +860,33 @@ class TestDirectFitParity:
         assert _fit_bits(got) == _fit_bits(want)
 
 
+@pytest.mark.parametrize("case", ["representable", "regression"])
+def test_known_start_loss_stands_in_for_its_evaluation(case, monkeypatch):
+    # each round's first vertex is its start, whose loss direct_fit already
+    # holds: evaluating that vertex anew returns exactly that loss and leaves
+    # the fit as it was, with one more evaluation counted per round
+    start, curves, config = _DIRECT_FITS[case]()
+    got = direct_fit(start, curves, config)
+    starts = []
+
+    def evaluating(objective, simplex, max_evals, first_loss):
+        losses = []
+
+        def recorded(x):
+            losses.append(objective(x))
+            return losses[-1]
+
+        result = _nelder_mead(recorded, simplex, max_evals)
+        starts.append((first_loss, losses[0]))
+        return result
+
+    monkeypatch.setattr(mortality, "_nelder_mead", evaluating)
+    want = direct_fit(start, curves, config)
+    assert len(starts) > 1 and all(known == fresh for known, fresh in starts)
+    assert _fit_bits(got)[0] == _fit_bits(want)[0]
+    assert got.n_evaluations + len(starts) == want.n_evaluations
+
+
 @st.composite
 def fittable_models(draw):
     """A lifetime or regression model of order 1 to 4 with some rates and

@@ -14,6 +14,7 @@ from scipy.stats import kstest
 
 from matlife.exceptions import DomainError, InvalidInputError
 from matlife.inhomogeneity import (
+    FAMILIES,
     GompertzTransform,
     IdentityTransform,
     ScaledTransform,
@@ -132,6 +133,41 @@ class TestTransforms:
             assert isinstance(next(iter(one.params.values())), float)
             assert tr.cumulative(y)[k] == one.cumulative(y[k])
             assert tr.log_intensity(y)[k] == one.log_intensity(y[k])
+
+    #: ages from near zero to where every shaped clock below overflows:
+    #: Gompertz exp(beta y) at 1e4 and past, Weibull y**theta at 1e130
+    CLOCK_AGES = np.array([1e-3, 0.4, 1.0, 2.5, 30.0, 300.0, 1e4, 1e130])
+
+    @pytest.mark.parametrize("family,param", [
+        ("identity", None), ("gompertz", 2.0), ("weibull", 2.5),
+        ("gompertz", np.linspace(0.5, 3.0, CLOCK_AGES.size)),
+        ("weibull", np.linspace(0.5, 3.0, CLOCK_AGES.size))])
+    def test_clock_terms(self, family, param):
+        # called outside any errstate: the suite turns a warning into a failure
+        y = self.CLOCK_AGES
+        cum, log_lam, dcum, dlog_lam = FAMILIES[family].clock_terms(param, y, np.log(y))
+        clock = make_transform(family, param)
+        assert cum.tobytes() == clock.cumulative(y).tobytes()
+        assert log_lam.tobytes() == clock.log_intensity(y).tobytes()
+        if param is None:
+            assert not dcum.any() and not dlog_lam.any()
+            return
+        assert np.isinf(cum).any()
+        h = 1e-6
+        up, down = (make_transform(family, param * np.exp(s * h)) for s in (1, -1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for got, term in ((dcum, "cumulative"), (dlog_lam, "log_intensity")):
+                central = (getattr(up, term)(y) - getattr(down, term)(y)) / (2 * h)
+                finite = np.isfinite(central)
+                assert_allclose(got[finite], central[finite], rtol=1e-6)
+                # past the overflow on both sides the difference is nan, and
+                # the derivative is no finite number either
+                assert not np.isfinite(got[~finite]).any()
+        # at age zero the clock is zero for every parameter
+        zero = np.zeros(1)
+        with np.errstate(divide="ignore"):
+            log_zero = np.log(zero)
+        assert FAMILIES[family].clock_terms(np.mean(param), zero, log_zero)[2] == 0.0
 
 
 #: invalid sub-intensity matrices and the message each is rejected with

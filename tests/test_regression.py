@@ -112,6 +112,33 @@ class TestSample:
         assert_allclose(c.delta, [1, 0, 1])
 
 
+@pytest.mark.parametrize("build", [
+    lambda delta: CensoredSample(np.ones(delta.size), delta, np.ones(delta.size)),
+    lambda delta: RegressionSample(np.ones(delta.size), delta,
+                                   np.zeros((delta.size, 1)), np.ones(delta.size))],
+    ids=["CensoredSample", "RegressionSample"])
+@pytest.mark.parametrize("delta,accepted", [
+    (np.array([0, 1]), True),
+    (np.array([True, False]), True),
+    (np.array([0.0, 1.0]), True),
+    (np.array([1, 0], dtype=object), True),
+    (np.array([0, 2]), False),
+    (np.array([-1, 1]), False),
+    (np.array([0.5, 1.0]), False),
+    (np.array([0.0, np.nan]), False),
+    (np.array(["0", "1"]), False),
+    (np.array([0, "1"], dtype=object), False),
+    (np.array([None, 1], dtype=object), False)])
+def test_censoring_indicators(build, delta, accepted):
+    # either sample takes exactly the values equal to 0 or 1, of any dtype
+    if accepted:
+        kept = build(delta).delta
+        assert kept.dtype == np.int8 and kept.tolist() == [int(d) for d in delta]
+    else:
+        with pytest.raises(InvalidInputError, match="censoring indicators"):
+            build(delta)
+
+
 class TestModel:
     def test_identity_family_has_no_gamma(self):
         rep = PHRepresentation([1.0], [[-1.0]])
