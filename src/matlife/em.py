@@ -78,6 +78,15 @@ class SurvObservation(NamedTuple):
     weight: float = 1.0
 
 
+def _real(values, name: str) -> np.ndarray:
+    """``values`` as an array; complex values raise :class:`InvalidInputError`
+    before a cast could drop their imaginary part (numpy warns when it does)."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise InvalidInputError(f"{name} must be real")
+    return values
+
+
 @dataclass(frozen=True)
 class CensoredSample:
     """Vectors of observation times, censoring indicators and weights."""
@@ -87,9 +96,9 @@ class CensoredSample:
     weight: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float).ravel()
-        delta = np.asarray(self.delta).ravel()
-        weight = np.asarray(self.weight, dtype=float).ravel()
+        z = np.asarray(_real(self.z, "observation times"), dtype=float).ravel()
+        delta = _real(self.delta, "censoring indicators").ravel()
+        weight = np.asarray(_real(self.weight, "weights"), dtype=float).ravel()
         if not (z.size == delta.size == weight.size):
             raise InvalidInputError("z, delta and weight lengths disagree")
         if z.size == 0:
@@ -194,7 +203,7 @@ class _Layout(NamedTuple):
         t[self.off] = off_rates
         exits = np.zeros(self.p)
         exits[self.exits] = exit_rates
-        np.fill_diagonal(t, -(t.sum(axis=1) + exits))
+        t.ravel()[::self.p + 1] = -(t.sum(axis=1) + exits)  # the diagonal
         pi = np.zeros(self.p)
         pi[self.starts] = weights
         return PHRepresentation(pi, t)
@@ -246,7 +255,8 @@ def _unpack_rep(vec: np.ndarray, layout: _Layout):
         logw = vec[n_rates:end]
         w = np.exp(logw - logw.max())
         weights = w / w.sum()
-    rep = layout.compose(np.exp(vec[:n_off]), np.exp(vec[n_off:n_rates]), weights)
+    rates = np.exp(vec[:n_rates])
+    rep = layout.compose(rates[:n_off], rates[n_off:], weights)
     return rep, vec[end:]
 
 

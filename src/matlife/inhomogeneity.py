@@ -84,11 +84,12 @@ class GompertzTransform(_Family):
     @staticmethod
     def clock_terms(beta, y, log_y):
         """``G``, ``log lam``, ``y exp(beta y) - G`` and ``beta y`` at ``y``
-        (see :class:`_Family`), from one ``beta y``."""
+        (see :class:`_Family`), from one ``beta y``; where ``G`` overflows
+        its slope is ``+inf``, not ``inf - inf``."""
         with np.errstate(over="ignore", invalid="ignore"):
             by = beta * y
             cum = np.expm1(by) / beta
-            return cum, by, y * np.exp(by) - cum, by
+            return cum, by, np.where(cum == np.inf, np.inf, y * np.exp(by) - cum), by
 
     def inverse_cumulative(self, z):
         return np.log1p(self.beta * np.asarray(z, dtype=float)) / self.beta

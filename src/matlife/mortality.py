@@ -16,10 +16,10 @@ import numpy as np
 from .em import CensoredSample, _pack_rep, _pattern, _unpack_rep
 from .exceptions import (DomainError, InvalidInputError, ScoreOverflowError,
                          TableParseError)
-from .inhomogeneity import _plain_params, make_transform
+from .inhomogeneity import _plain_params, make_transform, transform_family
 from .io import _BLOCK_ROWS, _read_rows, _read_text
-from .phasetype import IPHModel
-from .regression import PIModel, RegressionSample
+from .phasetype import IPHModel, _ages, _hazard
+from .regression import PIModel, RegressionSample, _row_clock, _scores
 from .regression import _pack as _pack_coefficients, _unpack as _unpack_coefficients
 
 __all__ = [
@@ -174,12 +174,13 @@ def load_table(source, kind: str = "rates", column: str = "Female") -> LifeTable
     dtype = np.dtype(list(formats.items()))
 
     def rules(cells):
-        ages = cells[age].copy()
-        open_group = np.fromiter(map(str.endswith, ages, repeat("+")), bool, ages.size)
-        ages[open_group] = [token[:-1] for token in ages[open_group]]
+        tokens = cells[age].tolist()
+        # each distinct token is read once; the open group "110+" reads as 110
+        read = {token: int(token[:-1] if token.endswith("+") else token)
+                for token in set(tokens)}
         keep = cells[value] != "."
         try:
-            ages = ages.astype(int)
+            ages = np.fromiter(map(read.__getitem__, tokens), int, len(tokens))
         except OverflowError:  # a ValueError lets _read_rows name the line
             raise ValueError("age beyond the int64 range") from None
         return (cells[year].astype(int)[keep], ages[keep],
@@ -425,7 +426,11 @@ def _normalize_curves(model, curves):
                 out.append((np.zeros(0), item))
             else:
                 x_row, curve = item
-                out.append((np.atleast_1d(np.asarray(x_row, dtype=float)), curve))
+                x_row = np.atleast_1d(np.asarray(x_row, dtype=float))
+                if x_row.shape != (model.d,):
+                    raise InvalidInputError(
+                        f"expected {model.d} covariates, got {x_row.size}")
+                out.append((x_row, curve))
         return out
     if isinstance(curves, MortalityCurve):
         return [(None, curves)]
@@ -433,6 +438,48 @@ def _normalize_curves(model, curves):
     if not out:
         raise InvalidInputError("no curves supplied")
     return out
+
+
+def _loss(init, pairs, layout):
+    """The loss of :func:`direct_fit` as a function of the packed
+    coordinates on ``layout``: over the ``(x_row, curve)`` pairs, the sum of
+    ``(max(log mu, log HAZARD_FLOOR) - m)^2``, with ``log mu`` bitwise
+    :func:`model_log_mortality` of the model ``vec`` unpacks to, or ``+inf``
+    once the sum is not finite, as any ``log mu`` that is not finite makes
+    it.  The ages are scaled and checked once; a call builds the
+    representation and each curve's clock and runs the hazard of
+    :meth:`IPHModel.evaluate`.  Invalid coordinates raise as the model's
+    construction would."""
+    log_scale, log_floor = np.log(AGE_SCALE), np.log(HAZARD_FLOOR)
+    curves = [(_ages(np.asarray(curve.ages, dtype=float) / AGE_SCALE),
+               curve.log_mortality) for _, curve in pairs]
+    if isinstance(init, PIModel):
+        family, d = init.family, init.d
+        gamma_len = 0 if init.gamma is None else init.gamma.size
+        rows = [x_row[None, :] for x_row, _ in pairs]
+
+        def clocks(rest):
+            beta, gamma = _unpack_coefficients(rest, d, gamma_len)
+            return (_row_clock(family, _scores(beta, gamma, x)) for x in rows)
+    else:
+        clock_family = transform_family(init.transform.family)
+
+        def clocks(rest):
+            return repeat(clock_family(*np.exp(rest)))
+
+    def loss(vec) -> float:
+        rep, rest = _unpack_rep(vec, layout)
+        total = 0.0
+        with np.errstate(divide="ignore"):
+            for (ages, m), clock in zip(curves, clocks(rest)):
+                hazard = _hazard(rep, clock.cumulative(ages), clock.intensity(ages))[2]
+                logmu = np.maximum(np.log(hazard) - log_scale, log_floor)
+                total += float(((logmu - m) ** 2).sum())
+                if not total < np.inf:
+                    return np.inf
+        return total
+
+    return loss
 
 
 class _BudgetSpent(Exception):
@@ -538,23 +585,13 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
     layout = _pattern(init)
     x0 = _pack(init, layout)
 
+    loss = _loss(init, pairs, layout)
     evals = [0]
     trace = []
 
-    def loss_of(model) -> float:
-        total = 0.0
-        for x_row, curve in pairs:
-            with np.errstate(divide="ignore"):
-                logmu = model_log_mortality(model, curve.ages, x_row)
-            logmu = np.maximum(logmu, np.log(HAZARD_FLOOR))
-            if not np.all(np.isfinite(logmu)):
-                return np.inf
-            total += float(np.sum((logmu - curve.log_mortality) ** 2))
-        return total
-
     # baseline through the pack/unpack round trip so the returned model's
     # loss is exactly the reported best, never an ulp above it
-    best = {"f": loss_of(_unpack(x0, init, layout)), "x": x0}
+    best = {"f": loss(x0), "x": x0}
     trace.append(best["f"])
     if not np.isfinite(best["f"]):
         raise InvalidInputError("starting model has non-finite loss")
@@ -562,7 +599,7 @@ def direct_fit(init, curves, config: DirectFitConfig | None = None) -> DirectFit
     def objective(vec):
         evals[0] += 1
         try:
-            f = loss_of(_unpack(vec, init, layout))
+            f = loss(vec)
         except (InvalidInputError, OverflowError, ScoreOverflowError):
             return np.inf
         if f < best["f"]:

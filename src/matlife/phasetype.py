@@ -67,23 +67,28 @@ def _decomposed(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`validate_sub_intensity`'s checked copy of ``t`` with the
     eigenvalues and eigenvectors of its one ``np.linalg.eig``, from which the
     reachability check reads."""
-    t = np.array(t, dtype=float)
+    t = np.array(t, dtype=float, order="C")
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise InvalidInputError(f"sub-intensity must be square, got {t.shape}")
     if t.size == 0:
         raise InvalidInputError("sub-intensity must have at least one state")
-    if not np.isfinite(t).all():
+    top = np.abs(t).max()
+    if not top < np.inf:  # a NaN entry makes the maximum NaN
         raise InvalidInputError("sub-intensity contains non-finite entries")
-    scale = max(1.0, np.abs(t).max())
-    off = ~np.eye(t.shape[0], dtype=bool)
-    rates = t[off]
-    if (rates < -_DUST * scale).any():
+    scale = max(1.0, top)
+    # the off-diagonal rates alone, with the diagonal zeroed while they are read
+    diag = t.ravel()[::t.shape[0] + 1]
+    diagonal = diag.copy()
+    diag[:] = 0.0
+    low = t.min()
+    if low < -_DUST * scale:
         raise InvalidInputError("off-diagonal rates must be nonnegative")
-    t[off] = np.maximum(rates, 0.0)
-    if (t.diagonal() >= 0).any():
+    np.maximum(t, 0.0, out=t)  # zeroes the dust, and writes -0 as 0
+    diag[:] = diagonal
+    if diagonal.max() >= 0:
         raise InvalidInputError("diagonal entries must be strictly negative")
     row_sums = t.sum(axis=1)
-    if (row_sums > _DUST * scale).any():
+    if row_sums.max() > _DUST * scale:
         raise InvalidInputError("row sums must not exceed zero")
     # a state absorbs if it exits or a positive rate leads to one that does;
     # a closed class never does, whatever rounding does to its eigenvalues
@@ -107,13 +112,15 @@ def _probability_vector(pi, p: int) -> np.ndarray:
     if pi.size != p:
         raise InvalidInputError(
             f"initial distribution needs {p} entries, got {pi.size}")
-    if not (pi >= -_DUST).all():  # false for NaN; an infinity fails the sum
+    low = pi.min()
+    if not low >= -_DUST:  # false for NaN; an infinity fails the sum
         raise InvalidInputError("initial probabilities must be finite and nonnegative")
-    pi = np.maximum(pi, 0.0)
+    np.maximum(pi, 0.0, out=pi)
     total = pi.sum()
     if abs(total - 1.0) > 1e-12:
         raise InvalidInputError("initial probabilities must sum to one")
-    return pi / total
+    pi /= total
+    return pi
 
 
 class Spectrum(NamedTuple):
@@ -276,14 +283,13 @@ def _folded_exp(spectrum: Spectrum, z: np.ndarray, *coefs: np.ndarray
     holds one weight per eigenvalue along its first axis and gets its own
     product, so a real spectrum gives the unfolded sum's bits."""
     lam, real, pairs = spectrum.eigvals, spectrum.real, spectrum.pairs
+    if not pairs.size:  # a real spectrum: every column is taken, in order
+        er = np.exp(np.multiply.outer(z, lam))
+        return er, None, [er @ coef for coef in coefs]
     er = np.exp(np.multiply.outer(z, lam[real].real))
-    sums = [er @ coef[real].real for coef in coefs]
-    ec = None
-    if pairs.size:
-        ec = np.exp(np.multiply.outer(z, lam[pairs]))
-        sums = [s + (ec @ (coef[pairs] + coef[pairs + 1].conj())).real
-                for s, coef in zip(sums, coefs)]
-    return er, ec, sums
+    ec = np.exp(np.multiply.outer(z, lam[pairs]))
+    return er, ec, [er @ coef[real].real + (ec @ (coef[pairs] + coef[pairs + 1].conj())).real
+                    for coef in coefs]
 
 
 def _unfolded(spectrum: Spectrum, on_real: np.ndarray, on_pairs: np.ndarray | None
@@ -423,6 +429,27 @@ def tail_hazard_constant(rep: PHRepresentation) -> float:
     raise DomainError("could not find a representable tail point")
 
 
+def _hazard(rep: PHRepresentation, z: np.ndarray, lam: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Density, survival, hazard and the underflow mask of
+    :meth:`IPHModel.evaluate` at operational times ``z``, where the clock's
+    intensity is ``lam``.  Where survival falls below
+    :data:`SURVIVAL_FLOOR` the hazard is the tail constant times ``lam``."""
+    dens_ph, surv = ph_products(rep, z)
+    # the phase factor decays faster than any clock intensity grows, so a
+    # zero phase factor forces zero density even when lam overflows
+    density = np.multiply(lam, dens_ph, out=np.zeros_like(dens_ph),
+                          where=dens_ph != 0.0)
+    extrapolated = surv < SURVIVAL_FLOOR
+    if not extrapolated.any():
+        return density, surv, density / surv, extrapolated
+    hazard = np.empty_like(surv)
+    ok = ~extrapolated
+    hazard[ok] = density[ok] / surv[ok]
+    hazard[extrapolated] = tail_hazard_constant(rep) * lam[extrapolated]
+    return density, surv, hazard, extrapolated
+
+
 def _ages(y) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if (y < 0).any() or not np.isfinite(y).all():
@@ -448,18 +475,8 @@ class IPHModel:
         ``c * lam(y)`` using the tail constant ``c`` and flagged.
         """
         y_arr = _ages(y)
-        dens_ph, surv = ph_products(self.rep, self.transform.cumulative(y_arr))
-        lam = self.transform.intensity(y_arr)
-        # the phase factor decays faster than any clock intensity grows, so
-        # a zero phase factor forces zero density even when lam overflows
-        with np.errstate(invalid="ignore"):
-            density = np.where(dens_ph == 0.0, 0.0, lam * dens_ph)
-        extrapolated = surv < SURVIVAL_FLOOR
-        hazard = np.empty_like(surv)
-        ok = ~extrapolated
-        hazard[ok] = density[ok] / surv[ok]
-        if extrapolated.any():
-            hazard[extrapolated] = tail_hazard_constant(self.rep) * lam[extrapolated]
+        density, surv, hazard, extrapolated = _hazard(
+            self.rep, self.transform.cumulative(y_arr), self.transform.intensity(y_arr))
         with np.errstate(divide="ignore"):
             cum_hazard = -np.log(surv)
         if np.isscalar(y) or np.ndim(y) == 0:

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em import CensoredSample, StructureSpec, _run_em, e_step, n_free_parameters
+from .em import (CensoredSample, StructureSpec, _real, _run_em, e_step,
+                 n_free_parameters)
 from .exceptions import (
     DegenerateObservationError,
     InvalidInputError,
@@ -60,15 +61,15 @@ class RegressionSample:
     weight: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
-        delta = np.asarray(self.delta).ravel()
-        x = np.asarray(self.x, dtype=float)
+        y = np.asarray(_real(self.y, "lifetimes"), dtype=float).ravel()
+        delta = _real(self.delta, "censoring indicators").ravel()
+        x = np.asarray(_real(self.x, "covariates"), dtype=float)
         if x.ndim == 1:
             x = x[:, None]
         if x.size == 0:
             x = x.reshape(y.size, 0)
         weight = (np.ones_like(y) if self.weight is None
-                  else np.asarray(self.weight, dtype=float).ravel())
+                  else np.asarray(_real(self.weight, "weights"), dtype=float).ravel())
         if not (y.size == delta.size == weight.size == x.shape[0]):
             raise InvalidInputError("observation array lengths disagree")
         if y.size == 0:
@@ -184,9 +185,7 @@ class PIModel:
     def conditional_model(self, x_row) -> IPHModel:
         """Lifetime distribution for one covariate row."""
         x_row = np.atleast_1d(np.asarray(x_row, dtype=float))
-        rate_score, theta = self._scores(x_row[None, :])
-        base = make_transform(self.family, None if theta is None else float(theta[0]))
-        return IPHModel(self.rep, ScaledTransform(base, float(np.exp(rate_score[0]))))
+        return IPHModel(self.rep, _row_clock(self.family, self._scores(x_row[None, :])))
 
     def predict(self, x_row, y) -> Evaluation:
         """Conditional density/survival/hazard/cumulative hazard at ``y``."""
@@ -209,6 +208,14 @@ def _scores(beta: np.ndarray, gamma: np.ndarray | None,
     if bad.any():
         raise ScoreOverflowError(int(np.flatnonzero(bad)[0]))
     return rate_score, None if shape_score is None else np.exp(shape_score)
+
+
+def _row_clock(family: str, scores) -> ScaledTransform:
+    """The clock of one covariate row, given its :func:`_scores`: the
+    family's transform at the row's parameter, sped up by ``exp(x beta)``."""
+    rate_score, theta = scores
+    base = make_transform(family, None if theta is None else float(theta[0]))
+    return ScaledTransform(base, float(np.exp(rate_score[0])))
 
 
 def _clock(family: str, scores, y) -> tuple[np.ndarray, np.ndarray]:

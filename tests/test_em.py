@@ -88,6 +88,14 @@ class TestSample:
         with pytest.raises(InvalidInputError):
             CensoredSample(z, delta, w)
 
+    @pytest.mark.parametrize("column", ["z", "delta", "weight"])
+    def test_complex_columns_refused_before_a_cast(self, column):
+        # a cast to real would warn, and the suite turns a warning into a failure
+        columns = {"z": [1.0, 2.0], "delta": [1, 0], "weight": [1.0, 1.0]}
+        columns[column] = np.asarray(columns[column]) + 0j
+        with pytest.raises(InvalidInputError, match="must be real"):
+            CensoredSample(**columns)
+
     def test_aggregate_merges_ties(self):
         s = CensoredSample([2.0, 1.0, 2.0, 2.0], [1, 0, 1, 0], [1.0, 2.0, 3.0, 4.0])
         agg = s.aggregate()

@@ -9,9 +9,11 @@ from scipy.optimize import minimize
 
 from matlife import mortality
 from matlife.em import StructureSpec, _pattern
-from matlife.exceptions import DomainError, InvalidInputError, TableParseError
+from matlife.exceptions import (DomainError, InvalidInputError, ScoreOverflowError,
+                               TableParseError)
 from matlife.inhomogeneity import FAMILIES, ScaledTransform, make_transform
 from matlife.mortality import (
+    HAZARD_FLOOR,
     SIMPLEX_STEP,
     DirectFitConfig,
     LifeTable,
@@ -858,6 +860,94 @@ class TestDirectFitParity:
         monkeypatch.setattr(mortality, "_nelder_mead", scipy_nelder_mead)
         want = direct_fit(start, curves, config)
         assert _fit_bits(got) == _fit_bits(want)
+
+
+def _scored(loss, *args):
+    """``loss(*args)``, or ``+inf`` where the point is refused, as
+    :func:`direct_fit`'s objective scores it."""
+    try:
+        return loss(*args)
+    except (InvalidInputError, OverflowError, ScoreOverflowError):
+        return np.inf
+
+
+def _loss_by_model(vec, start, pairs, layout):
+    """The direct-fit loss through the unpacked model and
+    :func:`model_log_mortality`, floored at ``log HAZARD_FLOOR``."""
+    model = mortality._unpack(vec, start, layout)
+    total = 0.0
+    for x_row, curve in pairs:
+        with np.errstate(divide="ignore"):
+            logmu = model_log_mortality(model, curve.ages, x_row)
+        logmu = np.maximum(logmu, np.log(HAZARD_FLOOR))
+        if not np.all(np.isfinite(logmu)):
+            return np.inf
+        total += float(np.sum((logmu - curve.log_mortality) ** 2))
+    return total
+
+
+def _steep_gompertz():
+    # survival underflows past age 90 or so: the hazard there is the tail's
+    return IPHModel(two_state_gompertz().rep, make_transform("gompertz", 40.0))
+
+
+#: (start, curves, number of packed coordinates set to NaN or 1000) for
+#: the loss parity: the three clocks, a regression model with two
+#: covariate rows, and survival that underflows
+_LOSS_CASES = {
+    "identity": lambda: (
+        IPHModel(PHRepresentation([0.6, 0.4], [[-3.0, 1.0], [0.5, -4.0]])),
+        MortalityCurve(np.arange(0, 111, 5), np.linspace(-5.0, -1.0, 23))),
+    "gompertz": lambda: (
+        two_state_gompertz(),
+        MortalityCurve(np.arange(0, 111), np.linspace(-7.0, 0.0, 111))),
+    "weibull": lambda: (
+        IPHModel(PHRepresentation([1.0, 0.0], [[-2.0, 2.0], [0.0, -3.0]]),
+                 make_transform("weibull", 2.5)),
+        MortalityCurve(np.arange(0, 111, 2), np.linspace(-8.0, -0.5, 56))),
+    "regression": lambda: (
+        PIModel(PHRepresentation([0.7, 0.3], [[-3.0, 1.5], [0.0, -5.0]]), "gompertz",
+                beta=[0.4, -0.2], gamma=[np.log(6.0), 0.1, -0.3]),
+        [([0.0, 1.0], MortalityCurve(np.arange(20, 100, 3), np.linspace(-6, -1, 27))),
+         ([1.5, -0.5], MortalityCurve(np.arange(30, 90), np.linspace(-5, -2, 60)))]),
+    "survival-underflow": lambda: (
+        _steep_gompertz(),
+        MortalityCurve(np.arange(0, 111), np.linspace(-7.0, 2.0, 111))),
+}
+
+
+class TestLossParity:
+    @pytest.mark.parametrize("case", list(_LOSS_CASES))
+    def test_bitwise_equal_to_the_loss_by_model(self, case):
+        start, curves = _LOSS_CASES[case]()
+        pairs = mortality._normalize_curves(start, curves)
+        layout = _pattern(start)
+        loss = mortality._loss(start, pairs, layout)
+        x0 = mortality._pack(start, layout)
+        rng = np.random.default_rng(20201106)
+        points = [x0, *(x0 + rng.normal(0.0, 0.3, (12, x0.size)))]
+        # refused points: a NaN rate, a NaN last coordinate (the clock
+        # parameter or a coefficient) and, for regression, a score past 700
+        refused = [(0, np.nan), (-1, np.nan)]
+        if isinstance(start, PIModel):
+            refused.append((-1, 1000.0))
+        for k, bad in refused:
+            points.append(x0.copy())
+            points[-1][k] = bad
+        values = []
+        for x in points:
+            got = _scored(loss, x)
+            assert np.float64(got).tobytes() == np.float64(
+                _scored(_loss_by_model, x, start, pairs, layout)).tobytes()
+            values.append(got)
+        assert np.isfinite(values[0]) and np.isinf(values[-len(refused):]).all()
+        if isinstance(start, PIModel):
+            with pytest.raises(ScoreOverflowError):
+                loss(points[-1])
+
+    def test_survival_underflow_takes_the_tail_branch(self):
+        start, curve = _LOSS_CASES["survival-underflow"]()
+        assert start.evaluate(curve.ages / 100.0).extrapolated.sum() > 10
 
 
 @pytest.mark.parametrize("case", ["representable", "regression"])

@@ -139,7 +139,7 @@ class TestTransforms:
     CLOCK_AGES = np.array([1e-3, 0.4, 1.0, 2.5, 30.0, 300.0, 1e4, 1e130])
 
     @pytest.mark.parametrize("family,param", [
-        ("identity", None), ("gompertz", 2.0), ("weibull", 2.5),
+        ("identity", None), ("gompertz", 1.0), ("gompertz", 2.0), ("weibull", 2.5),
         ("gompertz", np.linspace(0.5, 3.0, CLOCK_AGES.size)),
         ("weibull", np.linspace(0.5, 3.0, CLOCK_AGES.size))])
     def test_clock_terms(self, family, param):
@@ -163,6 +163,8 @@ class TestTransforms:
                 # past the overflow on both sides the difference is nan, and
                 # the derivative is no finite number either
                 assert not np.isfinite(got[~finite]).any()
+        # where the clock overflows, it grows without bound in its parameter
+        assert (dcum[np.isinf(cum)] == np.inf).all()
         # at age zero the clock is zero for every parameter
         zero = np.zeros(1)
         with np.errstate(divide="ignore"):
@@ -1062,6 +1064,23 @@ class TestFoldedProducts:
         assert np.array_equal(got[:, ~real], want[:, ~real])
         np.testing.assert_array_max_ulp(got[:, real].real, want[:, real].real, maxulp=1)
         assert not got[:, real].imag.any()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_real_spectrum_takes_the_general_fold_bits(self, seed):
+        # a real spectrum takes every column as it is; the general fold picks
+        # the real ones by index and their real parts, to the same bits
+        rep = random_representation(np.random.default_rng(seed), 4, "coxian")
+        spectrum = rep._spectrum
+        assert not spectrum.pairs.size
+        z = self.grid(rep)
+        coefs = (spectrum.exit_coef, spectrum.ones_coef,
+                 spectrum.start[:, None] * spectrum.vecs_inv)
+        er, ec, sums = _folded_exp(spectrum, z, *coefs)
+        real = spectrum.real
+        want = np.exp(np.multiply.outer(z, spectrum.eigvals[real].real))
+        assert ec is None and er.tobytes() == want.tobytes()
+        for got, coef in zip(sums, coefs):
+            assert got.tobytes() == (want @ coef[real].real).tobytes()
 
     def test_real_spectrum_has_no_pairs(self):
         spectrum = CoxianSpec([1.0, 2.0, 3.0], [0.5, 0.5]).to_representation()._spectrum

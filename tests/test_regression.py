@@ -104,6 +104,15 @@ class TestSample:
         with pytest.raises(InvalidInputError):
             RegressionSample([1.0, 2.0], [1, 1], [[1.0]], [1.0, 1.0])
 
+    @pytest.mark.parametrize("column", ["y", "delta", "x", "weight"])
+    def test_complex_columns_refused_before_a_cast(self, column):
+        # a cast to real would warn, and the suite turns a warning into a failure
+        columns = {"y": [1.0, 2.0], "delta": [1, 0], "x": [[0.5], [1.5]],
+                   "weight": [1.0, 1.0]}
+        columns[column] = np.asarray(columns[column]) + 0j
+        with pytest.raises(InvalidInputError, match="must be real"):
+            RegressionSample(**columns)
+
     def test_canonical_sorts(self):
         s = RegressionSample([2.0, 1.0, 2.0], [1, 1, 0], [[1.0], [0.0], [2.0]],
                              [1.0, 1.0, 1.0])
