@@ -648,6 +648,8 @@ class TestDirectFit:
         curve = MortalityCurve([50], [np.log(0.01)])
         with pytest.raises(InvalidInputError):
             direct_fit(pm, [curve])
+        with pytest.raises(InvalidInputError, match="expected 1 covariates, got 2"):
+            direct_fit(pm, [([0.5, 1.0], curve)])
 
     def test_wrapped_transform_rejected(self):
         base = two_state_gompertz()
@@ -891,9 +893,8 @@ def _steep_gompertz():
     return IPHModel(two_state_gompertz().rep, make_transform("gompertz", 40.0))
 
 
-#: (start, curves, number of packed coordinates set to NaN or 1000) for
-#: the loss parity: the three clocks, a regression model with two
-#: covariate rows, and survival that underflows
+#: (start, curves) for the loss parity: the three clocks, a regression
+#: model with two covariate rows, and survival that underflows
 _LOSS_CASES = {
     "identity": lambda: (
         IPHModel(PHRepresentation([0.6, 0.4], [[-3.0, 1.0], [0.5, -4.0]])),
